@@ -61,7 +61,6 @@ from .certify import (
     TraceCombination,
     TraceNotMember,
     WeakWitness,
-    gns_witness,
     hom_ideal_membership,
     in_univariate_subalgebra,
     left_ideal_membership,
@@ -92,7 +91,6 @@ from .lowrank import (
     rank_profile,
     reference_poly,
     reference_witnesses,
-    trace_witness_search,
     verify_reference_witnesses,
 )
 from .serialize import (

@@ -10,8 +10,8 @@ Five problems are covered, all over the free algebra on d variables:
 
 Every positive answer is a Combination that multiplies out to the target
 exactly; every negative answer (where one exists) is a Witness whose defining
-equalities and inequalities hold in exact rational arithmetic.  Both are
-re-verified before being returned; a verification failure raises
+equalities and inequalities hold in exact rational arithmetic.  Both pass
+the checker of their kind (`checks`) before being returned; a failure raises
 InternalInconsistencyError because it can only come from a bug, never from
 the input.
 """
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import checks
+from .checks import CheckFailed, InternalInconsistencyError, self_check
 from .evaluate import (
     MatTuple,
     ResourceCapError,
@@ -33,10 +35,6 @@ from .evaluate import (
 )
 from .linalg import QMatrix, QVector, rank_det_kernel, rational_roots, solve_span
 from .poly import NcPoly, Word, deglex_key, words_of_length, words_up_to
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A constructed certificate failed its own verification: a bug."""
 
 
 class NonHomogeneousGeneratorError(ValueError):
@@ -53,7 +51,6 @@ class LeftCombination:
     """g = sum of cofactors[j] * f_j, right cofactors identically 1."""
 
     cofactors: Tuple[NcPoly, ...]
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,6 @@ class DirectionalWitness:
     vector: QVector
     f_values: Tuple[QVector, ...]
     g_value: QVector
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,6 @@ class HomCombination:
     """g = sum over j of sum of u*f_j*v for the (u, v) pairs of generator j."""
 
     pairs: Tuple[Tuple[Tuple[NcPoly, NcPoly], ...], ...]
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,6 @@ class MatrixWitness:
     point: MatTuple
     f_values: Tuple[QMatrix, ...]
     g_value: QMatrix
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,6 @@ class TraceCombination:
     branch: str
     lambdas: Tuple[Fraction, ...]
     commutators: Tuple[Tuple[NcPoly, NcPoly], ...]
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
@@ -103,13 +96,10 @@ class TraceNotMember:
     """Neither 1 nor cyclic_reduce(g) lies in the span of the reduced
     generators; the theory provides no finite witness for this branch."""
 
-    verification: str = "checked"
-
 
 @dataclass(frozen=True)
 class SpanCoefficients:
     coefficients: Tuple[Fraction, ...]
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
@@ -121,14 +111,12 @@ class WeakWitness:
     right: QVector
     f_values: Tuple[Fraction, ...]
     g_value: Fraction
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
 class SpanUnknown:
     sizes_tried: int
     attempts_per_size: int
-    verification: str = "none"
 
 
 @dataclass(frozen=True)
@@ -136,7 +124,6 @@ class CompositionCoefficients:
     """g = sum of coefficients[i] * f**i."""
 
     coefficients: Tuple[Fraction, ...]
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
@@ -147,13 +134,11 @@ class EigenWitness:
     vector: QVector
     eigenvalue: Fraction
     g_value: QVector
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
 class CompositionNotMember:
     witness: Optional[EigenWitness]
-    verification: str = "checked"
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +289,7 @@ def weak_basis(f_list: Sequence[NcPoly]) -> WeakBasis:
     expressions: List[Tuple[NcPoly, ...]] = []
     for poly, expr in elements:
         cofactors = tuple(expr.get(j, NcPoly.zero(d)) for j in range(len(f_list)))
-        recombined = NcPoly.zero(d)
-        for cof, f in zip(cofactors, f_list):
-            recombined = recombined + cof * f
-        if recombined != poly:
-            raise InternalInconsistencyError("weak basis expression does not recombine")
+        self_check(checks.left_combination, f_list, poly, cofactors)
         reduced.append(poly)
         expressions.append(cofactors)
     return WeakBasis(tuple(reduced), tuple(expressions))
@@ -344,9 +325,11 @@ def _shift_matrices(
     rref: WordRREF, d: int, delta: int
 ) -> Tuple[MatTuple, QVector, Dict[Word, int]]:
     """Left-multiplication operators on the span of non-pivot words of degree
-    <= delta, computed inside the degree-(delta+1) reduction and projected
-    back by dropping the top-degree coordinates.  The unit word must not be a
-    pivot (checked by the caller's precondition)."""
+    <= delta: each letter times a basis word is reduced by the store and its
+    coordinates above degree delta are dropped.  The left engine's store
+    reaches degree delta+1; the two-sided engine's stops at delta, where a
+    graded quotient needs no reduction above it.  The unit word must not be
+    a pivot (the target, not reducing to zero, guarantees it)."""
     basis_words = [w for w in words_up_to(d, delta) if w not in rref]
     if () in rref:
         raise InternalInconsistencyError(
@@ -400,36 +383,11 @@ def left_ideal_membership(
             for j, cof in enumerate(expr):
                 if not cof.is_zero() and not q.is_zero():
                     cofactors[j] = cofactors[j] + q * cof
-        total = NcPoly.zero(d)
-        for p, f in zip(cofactors, f_list):
-            total = total + p * f
-        if total != g:
-            raise InternalInconsistencyError("left combination does not multiply out")
+        self_check(checks.left_combination, f_list, g, cofactors)
         return LeftCombination(tuple(cofactors))
 
     point, vector, _ = _shift_matrices(rref, d, delta)
-    f_values = tuple(eval_poly_vector(f, point, vector) for f in f_list)
-    g_value = eval_poly_vector(g, point, vector)
-    if any(not fv.is_zero() for fv in f_values) or g_value.is_zero():
-        raise InternalInconsistencyError("constructed left-ideal witness failed")
-    return DirectionalWitness(point, vector, f_values, g_value)
-
-
-def gns_witness(f_list: Sequence[NcPoly], g: NcPoly, delta: int) -> DirectionalWitness:
-    """Truncated-module witness for g outside the degree-bounded span of the
-    left multiples of f_list.  Precondition: the bounded solve at `delta`
-    already failed; violating it raises."""
-    d = g.d
-    wb = weak_basis(f_list)
-    rref = _left_multiples_rref(wb.reduced, d, delta + 1)
-    remainder, _ = rref.reduce(dict(g.terms), {})
-    if not remainder:
-        raise ValueError("target lies in the bounded span; no witness exists")
-    point, vector, _ = _shift_matrices(rref, d, delta)
-    f_values = tuple(eval_poly_vector(f, point, vector) for f in f_list)
-    g_value = eval_poly_vector(g, point, vector)
-    if any(not fv.is_zero() for fv in f_values) or g_value.is_zero():
-        raise InternalInconsistencyError("constructed left-ideal witness failed")
+    f_values, g_value = self_check(checks.left_witness, f_list, g, point, vector)
     return DirectionalWitness(point, vector, f_values, g_value)
 
 
@@ -496,12 +454,7 @@ def hom_ideal_membership(
             pairs[original].append(
                 (NcPoly.from_word(u, d, coeff), NcPoly.from_word(v, d))
             )
-        total = NcPoly.zero(d)
-        for plist, f in zip(pairs, f_list):
-            for u, v in plist:
-                total = total + u * f * v
-        if total != g:
-            raise InternalInconsistencyError("two-sided combination does not multiply out")
+        self_check(checks.hom_combination, f_list, g, pairs)
         return HomCombination(tuple(tuple(p) for p in pairs))
 
     word_count = len(words_up_to(d, delta))
@@ -509,26 +462,8 @@ def hom_ideal_membership(
         raise ResourceCapError(
             f"witness dimension bound {word_count} exceeds cap {max_dimension}"
         )
-    basis_words = [w for w in words_up_to(d, delta) if w not in rref]
-    index = {w: k for k, w in enumerate(basis_words)}
-    if () in rref:
-        raise InternalInconsistencyError("unit word vanished in a graded quotient")
-    m = len(basis_words)
-    columns: List[List[List[Fraction]]] = [
-        [[Fraction(0)] * m for _ in range(m)] for _ in range(d)
-    ]
-    for w, k in index.items():
-        if len(w) == delta:
-            continue  # raising by one more degree leaves the truncation
-        for i in range(d):
-            reduced, _ = rref.reduce({(i + 1,) + w: Fraction(1)}, {})
-            for u, c in reduced.items():
-                columns[i][index[u]][k] = c
-    point = MatTuple([QMatrix(columns[i]) for i in range(d)])
-    f_values = tuple(eval_poly(f, point) for f in f_list)
-    g_value = eval_poly(g, point)
-    if any(not fv.is_zero() for fv in f_values) or g_value.is_zero():
-        raise InternalInconsistencyError("constructed two-sided witness failed")
+    point, _, _ = _shift_matrices(rref, d, delta)
+    f_values, g_value = self_check(checks.hom_witness, f_list, g, point)
     return MatrixWitness(point, f_values, g_value)
 
 
@@ -581,8 +516,7 @@ def trace_membership(
         rref.insert(dict(f.cyclic_reduce().terms), {id(f): Fraction(1)})
 
     for branch, target in (("one-in-span", NcPoly.one(d)), ("g-in-span", g)):
-        reduced_target = target.cyclic_reduce()
-        remainder, acc = rref.reduce(dict(reduced_target.terms), {})
+        remainder, acc = rref.reduce(dict(target.cyclic_reduce().terms), {})
         if remainder:
             continue
         lambdas = [Fraction(0)] * len(f_list)
@@ -591,14 +525,8 @@ def trace_membership(
         residual = target
         for lam, f in zip(lambdas, f_list):
             residual = residual - lam * f
-        if not residual.cyclic_reduce().is_zero():
-            raise InternalInconsistencyError("tracial residual is not cyclically zero")
         commutators = _rotation_commutators(residual)
-        rebuilt = NcPoly.zero(d)
-        for p, q in commutators:
-            rebuilt = rebuilt + (p * q - q * p)
-        if rebuilt != residual:
-            raise InternalInconsistencyError("commutator part does not expand to the residual")
+        self_check(checks.trace_combination, f_list, g, branch, lambdas, commutators)
         return TraceCombination(branch, tuple(lambdas), tuple(commutators))
     return TraceNotMember()
 
@@ -632,11 +560,7 @@ def span_membership(
         coeffs = [Fraction(0)] * len(f_list)
         for j, coeff in _combination_from_expr(acc).items():
             coeffs[j] += coeff
-        total = NcPoly.zero(d)
-        for lam, f in zip(coeffs, f_list):
-            total = total + lam * f
-        if total != g:
-            raise InternalInconsistencyError("span coefficients do not recombine")
+        self_check(checks.span_coefficients, f_list, g, coeffs)
         return SpanCoefficients(tuple(coeffs))
 
     rng = random.Random(seed)
@@ -650,10 +574,7 @@ def span_membership(
             if result.in_span:
                 continue
             u = result.functional
-            f_scalars = tuple(u.dot(fv) for fv in f_vectors)
-            g_scalar = u.dot(g_vector)
-            if any(s != 0 for s in f_scalars) or g_scalar == 0:
-                raise InternalInconsistencyError("weak witness functional failed")
+            f_scalars, g_scalar = self_check(checks.weak_pairings, u, f_vectors, g_vector)
             return WeakWitness(point, u, v, f_scalars, g_scalar)
     return SpanUnknown(sizes_tried=n_max, attempts_per_size=attempts_per_size)
 
@@ -710,13 +631,7 @@ def in_univariate_subalgebra(
         coeffs = [Fraction(0)] * (m + 1)
         for i, coeff in _combination_from_expr(acc).items():
             coeffs[i] += coeff
-        total = NcPoly.zero(d)
-        power = NcPoly.one(d)
-        for c in coeffs:
-            total = total + c * power
-            power = power * f
-        if total != g:
-            raise InternalInconsistencyError("composition coefficients do not recombine")
+        self_check(checks.composition, f, g, coeffs)
         return CompositionCoefficients(tuple(coeffs))
 
     witness = None
@@ -728,7 +643,8 @@ def in_univariate_subalgebra(
 def _eigen_witness_search(
     g: NcPoly, f: NcPoly, seed: int, n_max: int, attempts_per_size: int
 ) -> Optional[EigenWitness]:
-    """Best-effort: rational eigenvalues only."""
+    """Best-effort: rational eigenvalues only.  The first kernel vector that
+    passes the witness check is returned."""
     d = g.d
     rng = random.Random(seed)
     for n in range(2, n_max + 1):
@@ -738,14 +654,8 @@ def _eigen_witness_search(
             for lam in rational_roots(_char_poly(fx)):
                 shifted = fx - lam * QMatrix.identity(n)
                 for v in rank_det_kernel(shifted).kernel:
-                    gv = eval_poly_vector(g, point, v)
-                    pivot = next((i for i, e in enumerate(v) if e != 0), None)
-                    if pivot is None:
+                    try:
+                        return EigenWitness(point, v, lam, checks.eigen_witness(f, g, point, v, lam))
+                    except CheckFailed:
                         continue
-                    ratio = gv[pivot] / v[pivot]
-                    if gv != ratio * v:
-                        fv = eval_poly_vector(f, point, v)
-                        if fv != lam * v:
-                            raise InternalInconsistencyError("eigenvector check failed")
-                        return EigenWitness(point, v, lam, gv)
     return None

@@ -222,8 +222,7 @@ def _run_eval(args):
         raise ValueError(f"point has {point.d} coordinates, polynomial expects {args.d}")
     value = eval_poly(f, point)
     problem = {"d": args.d, "polynomial": format_poly(f), "point": point.to_json()}
-    cert = {"kind": "eval", "value": [[str(e) for e in row] for row in value.entries],
-            "verification": "verified"}
+    cert = serialize.tagged("eval", value=[[str(e) for e in row] for row in value.entries])
     print(f"value of {args.f} at the {point.n}x{point.n} tuple:")
     for row in value.entries:
         print("  [" + ", ".join(str(e) for e in row) + "]")
@@ -249,17 +248,16 @@ def _run_classify(args):
         "in_trace_zero": result.in_trace_zero,
         "in_weak": result.in_weak,
     }
-    cert = {
-        "kind": "classification",
-        "memberships": memberships,
-        "f_dets": [str(x) for x in result.f_dets],
-        "f_traces": [str(x) for x in result.f_traces],
-        "f_ranks": list(result.f_ranks),
-        "g_det": str(result.g_det),
-        "g_trace": str(result.g_trace),
-        "g_rank": result.g_rank,
-        "verification": "verified",
-    }
+    cert = serialize.tagged(
+        "classification",
+        memberships=memberships,
+        f_dets=[str(x) for x in result.f_dets],
+        f_traces=[str(x) for x in result.f_traces],
+        f_ranks=list(result.f_ranks),
+        g_det=str(result.g_det),
+        g_trace=str(result.g_trace),
+        g_rank=result.g_rank,
+    )
     for name, value in memberships.items():
         shown = "n/a" if value is None else ("yes" if value else "no")
         print(f"{name:16s} {shown}")
@@ -406,7 +404,7 @@ def _run_pi(args):
     problem = {"d": args.d, "polynomial": format_poly(f), "n": args.n}
     inputs = {"polynomial": _digest(problem["polynomial"])}
     value = pi_test(f, args.n)
-    cert = {"kind": "pi_result", "value": value, "verification": "verified"}
+    cert = serialize.tagged("pi_result", value=value)
     print(f"identically zero on {args.n}x{args.n} matrices: {'yes' if value else 'no'}")
     return EXIT_OK, problem, cert, "identity" if value else "not-identity", inputs
 
@@ -414,7 +412,7 @@ def _run_pi(args):
 def _run_weyl(args):
     point = weyl_pair(args.n)
     problem = {"n": args.n}
-    cert = {"kind": "weyl", "point": point.to_json(), "verification": "verified"}
+    cert = serialize.tagged("weyl", point=point.to_json())
     print(f"truncation pair of size {args.n} written; "
           f"1 - [x1,x2] evaluates to {args.n} * E_nn on it")
     return EXIT_OK, problem, cert, "emitted", {}
@@ -429,11 +427,7 @@ def _run_rankprofile(args):
     }
     inputs = {"polynomial": _digest(problem["polynomial"])}
     table = lowrank_mod.rank_profile(f, sizes, samples=args.samples, seed=args.seed)
-    cert = {
-        "kind": "rankprofile",
-        "table": {str(n): r for n, r in table.items()},
-        "verification": "verified",
-    }
+    cert = serialize.tagged("rankprofile", table={str(n): r for n, r in table.items()})
     print("n   min observed rank")
     for n in sizes:
         print(f"{n:<3d} {table[n]}")
@@ -458,23 +452,16 @@ def _run_lowrank(args):
           f"after {result.iterations} iterations")
     if result.exact is not None:
         point, exact_rank = result.exact
-        cert = {
-            "kind": "lowrank_exact",
-            "point": point.to_json(),
-            "rank": exact_rank,
-            "objective": result.objective,
-            "restart": result.restart,
-            "verification": "verified",
-        }
+        cert = serialize.tagged(
+            "lowrank_exact", point=point.to_json(), rank=exact_rank,
+            objective=result.objective, restart=result.restart,
+        )
         print(f"exactified: rational point with exact rank {exact_rank}")
         return EXIT_OK, problem, cert, "exact", inputs
-    cert = {
-        "kind": "lowrank_report",
-        "objective": result.objective,
-        "restart": result.restart,
-        "float_point": result.best.to_json(),
-        "verification": "none",
-    }
+    cert = serialize.tagged(
+        "lowrank_report", objective=result.objective, restart=result.restart,
+        float_point=result.best.to_json(),
+    )
     print("no exact witness recovered")
     return EXIT_UNKNOWN, problem, cert, "no-exact-witness", inputs
 
@@ -482,13 +469,12 @@ def _run_lowrank(args):
 def _run_reference(args):
     report = lowrank_mod.verify_reference_witnesses()
     points = lowrank_mod.reference_witnesses()
-    cert = {
-        "kind": "reference_witnesses",
-        "points": [p.to_json() for p in points],
-        "ranks": {str(n): r for n, r in report["ranks"].items()},
-        "identity_on_2x2": report["identity_on_2x2"],
-        "verification": "verified",
-    }
+    cert = serialize.tagged(
+        "reference_witnesses",
+        points=[p.to_json() for p in points],
+        ranks={str(n): r for n, r in report["ranks"].items()},
+        identity_on_2x2=report["identity_on_2x2"],
+    )
     problem = {"polynomial": format_poly(report["polynomial"])}
     print("published witnesses re-checked: rank 1 at sizes 3 and 4; "
           "the polynomial is constantly I on 2x2 matrices")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import QMatrix, QVector, rank_det_kernel
+from .linalg import QMatrix, QVector, rank, rank_det_kernel
 from .poly import NcPoly, Word
 
 MAX_FACTORIAL_DEGREE = 8
@@ -179,6 +179,18 @@ def weyl_pair(n: int) -> MatTuple:
     return MatTuple([QMatrix(x), QMatrix(y)])
 
 
+def structured_tuples(d: int, n: int) -> List[MatTuple]:
+    """Size-n points tried before random ones: zero, the truncation pair
+    padded with zeros, and the scalar tuples c*I for c = 1, -1, 2."""
+    out = [MatTuple([QMatrix.zeros(n, n) for _ in range(d)])]
+    if d >= 2:
+        w = weyl_pair(n)
+        out.append(MatTuple(list(w.matrices) + [QMatrix.zeros(n, n)] * (d - 2)))
+    for c in (1, -1, 2):
+        out.append(MatTuple([c * QMatrix.identity(n) for _ in range(d)]))
+    return out
+
+
 def standard_poly(k: int) -> NcPoly:
     """Full alternating sum over all k! orderings of x1..xk."""
     if k < 1:
@@ -207,6 +219,20 @@ def random_tuple(
 
 def random_vector(rng: random.Random, n: int, k: int = 5, q: int = 1) -> QVector:
     return QVector([Fraction(rng.randint(-k, k), q) for _ in range(n)])
+
+
+def rank_profile(
+    f: NcPoly, n_range: Sequence[int], samples: int = 20, seed: int = 0
+) -> Dict[int, int]:
+    """Minimum exact rank of f(X) over seeded random and structured tuples,
+    per matrix size.  An observed upper bound on min rank, nothing more."""
+    out: Dict[int, int] = {}
+    for n in n_range:
+        rng = random.Random(f"{seed}:{n}")
+        candidates = structured_tuples(f.d, n)
+        candidates.extend(random_tuple(rng, n, f.d) for _ in range(samples))
+        out[n] = min(rank(eval_poly(f, point)) for point in candidates)
+    return out
 
 
 # ---------------------------------------------------------------------------

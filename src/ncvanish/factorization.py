@@ -13,10 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .evaluate import CPoly, MatTuple, eval_poly, random_tuple, weyl_pair
-from .linalg import QMatrix, QVector, rank_det_kernel, rational_roots
+from . import checks
+from .checks import Mat2, diag2, mat2_mul, self_check
+from .evaluate import CPoly, MatTuple, eval_poly, random_tuple, structured_tuples
+from .linalg import QVector, rank_det_kernel, rational_roots
 from .poly import NcPoly, Word, deglex_key
 
 
@@ -322,15 +324,13 @@ def factor(f: NcPoly, max_degree: int = 10) -> List[Factorization]:
         search.complete_factorizations(monic),
         key=lambda factors: tuple(p.sort_key() for p in factors),
     )
-    out = []
-    for factors in tuples:
-        out.append(
-            Factorization(
-                unit=unit,
-                factors=factors,
-                evidence=tuple(search.evidence(p) for p in factors),
-            )
-        )
+    out = [
+        Factorization(unit, factors, tuple(search.evidence(p) for p in factors))
+        for factors in tuples
+    ]
+    self_check(
+        checks.factorization, f, [(fz.unit, fz.factors, [e.degree for e in fz.evidence]) for fz in out]
+    )
     return out
 
 
@@ -338,31 +338,8 @@ def factor(f: NcPoly, max_degree: int = 10) -> List[Factorization]:
 # Stable associativity
 # ---------------------------------------------------------------------------
 
-Mat2 = Tuple[Tuple[NcPoly, NcPoly], Tuple[NcPoly, NcPoly]]
-
-
 def _mat2(entries: Sequence[Sequence[NcPoly]]) -> Mat2:
     return ((entries[0][0], entries[0][1]), (entries[1][0], entries[1][1]))
-
-
-def _mat2_mul(x: Mat2, y: Mat2) -> Mat2:
-    return tuple(
-        tuple(
-            x[i][0] * y[0][j] + x[i][1] * y[1][j]
-            for j in range(2)
-        )
-        for i in range(2)
-    )  # type: ignore[return-value]
-
-
-def _mat2_identity(d: int) -> Mat2:
-    one, zero = NcPoly.one(d), NcPoly.zero(d)
-    return ((one, zero), (zero, one))
-
-
-def _diag2(p: NcPoly) -> Mat2:
-    one, zero = NcPoly.one(p.d), NcPoly.zero(p.d)
-    return ((p, zero), (zero, one))
 
 
 @dataclass(frozen=True)
@@ -373,7 +350,6 @@ class AssocYes:
     q_mat: Mat2
     p_inv: Mat2
     q_inv: Mat2
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
@@ -385,7 +361,6 @@ class AssocNo:
     vanishing: str  # "p" or "q": whose value kills the vector
     p_value: QVector
     q_value: QVector
-    verification: str = "verified"
 
 
 @dataclass(frozen=True)
@@ -393,24 +368,10 @@ class AssocUnknown:
     chain_depth: int
     n_max: int
     samples_per_size: int
-    verification: str = "none"
 
 
-def _verify_assoc_yes(p: NcPoly, q: NcPoly, cert: AssocYes) -> bool:
-    d = p.d
-    identity = _mat2_identity(d)
-    product = _mat2_mul(_mat2_mul(cert.p_mat, _diag2(q)), cert.q_mat)
-    if product != _diag2(p):
-        return False
-    if _mat2_mul(cert.p_mat, cert.p_inv) != identity:
-        return False
-    if _mat2_mul(cert.p_inv, cert.p_mat) != identity:
-        return False
-    if _mat2_mul(cert.q_mat, cert.q_inv) != identity:
-        return False
-    if _mat2_mul(cert.q_inv, cert.q_mat) != identity:
-        return False
-    return True
+def _mats(cert: AssocYes) -> Tuple[Mat2, Mat2, Mat2, Mat2]:
+    return cert.p_mat, cert.q_mat, cert.p_inv, cert.q_inv
 
 
 def _scalar_cert(p: NcPoly, q: NcPoly, lam: Fraction) -> AssocYes:
@@ -419,7 +380,7 @@ def _scalar_cert(p: NcPoly, q: NcPoly, lam: Fraction) -> AssocYes:
     one, zero = NcPoly.one(d), NcPoly.zero(d)
     inv = NcPoly.constant(1 / lam, d)
     lam_p = NcPoly.constant(lam, d)
-    identity = _mat2_identity(d)
+    identity = diag2(one)
     return AssocYes(
         p_mat=((inv, zero), (zero, one)),
         q_mat=identity,
@@ -460,10 +421,10 @@ def _compose_certs(first: AssocYes, second: AssocYes) -> AssocYes:
     """diag(p,1) = P1 diag(r,1) Q1 and diag(r,1) = P2 diag(q,1) Q2 compose to
     diag(p,1) = (P1 P2) diag(q,1) (Q2 Q1)."""
     return AssocYes(
-        p_mat=_mat2_mul(first.p_mat, second.p_mat),
-        q_mat=_mat2_mul(second.q_mat, first.q_mat),
-        p_inv=_mat2_mul(second.p_inv, first.p_inv),
-        q_inv=_mat2_mul(first.q_inv, second.q_inv),
+        p_mat=mat2_mul(first.p_mat, second.p_mat),
+        q_mat=mat2_mul(second.q_mat, first.q_mat),
+        p_inv=mat2_mul(second.p_inv, first.p_inv),
+        q_inv=mat2_mul(first.q_inv, second.q_inv),
     )
 
 
@@ -534,8 +495,7 @@ def stable_assoc(
             if lam is not None:
                 closing = _scalar_cert(state, q, lam)
                 total = closing if cert is None else _compose_certs(cert, closing)
-                if not _verify_assoc_yes(p, q, total):
-                    raise AssertionError("stable-associativity certificate failed to verify")
+                self_check(checks.assoc_yes, p, q, *_mats(total))
                 return total
             for neighbour, move in _rotation_moves(state):
                 if neighbour in visited:
@@ -553,15 +513,6 @@ def stable_assoc(
     return AssocUnknown(chain_depth=chain_depth, n_max=n_max, samples_per_size=samples_per_size)
 
 
-def _structured_tuples(d: int, n: int) -> List[MatTuple]:
-    out = [MatTuple([QMatrix.zeros(n, n) for _ in range(d)])]
-    if d >= 2:
-        w = weyl_pair(n)
-        out.append(MatTuple(list(w.matrices) + [QMatrix.zeros(n, n)] * (d - 2)))
-    out.append(MatTuple([QMatrix.identity(n) for _ in range(d)]))
-    return out
-
-
 def _separating_point(
     p: NcPoly, q: NcPoly, n_max: int, samples_per_size: int, seed: int
 ) -> Optional[AssocNo]:
@@ -571,18 +522,16 @@ def _separating_point(
     d = p.d
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
-        candidates = _structured_tuples(d, n)
+        candidates = structured_tuples(d, n)
         candidates.extend(random_tuple(rng, n, d) for _ in range(samples_per_size))
         for point in candidates:
             p_val = eval_poly(p, point)
             q_val = eval_poly(q, point)
             for vanishing, first, second in (("p", p_val, q_val), ("q", q_val, p_val)):
                 for v in rank_det_kernel(first).kernel:
-                    sv = second @ v
-                    if not sv.is_zero():
-                        if vanishing == "p":
-                            return AssocNo(point, v, "p", first @ v, sv)
-                        return AssocNo(point, v, "q", sv, first @ v)
+                    if not (second @ v).is_zero():
+                        values = self_check(checks.assoc_no, p, q, point, v, vanishing)
+                        return AssocNo(point, v, vanishing, *values)
     return None
 
 
@@ -591,36 +540,46 @@ def _separating_point(
 # ---------------------------------------------------------------------------
 
 
+class FactorMatch(NamedTuple):
+    """A factor of f_j, the factor of g it matches, and the certificate."""
+
+    factor: NcPoly
+    matched_to: NcPoly
+    assoc: AssocYes
+
+
+class Refutation(NamedTuple):
+    """A generator, its complete factorization, the factor refuted against
+    g, and one AssocNo per entry of g_factors, in order."""
+
+    generator_index: int
+    f_factors: Tuple[NcPoly, ...]
+    refuted: NcPoly
+    certs: Tuple[AssocNo, ...]
+
+
 @dataclass(frozen=True)
 class DetZeroYes:
-    """Generator f_j whose irreducible factors all match factors of g.
-
-    `matching` pairs each factor of f_j with a factor of g and the stable
-    associativity certificate tying them; `g_factors` is the complete
-    factorization of g the matches were drawn from."""
+    """Generator f_j whose irreducible factors all match factors of g;
+    `g_factors` is the complete factorization of g the matches were drawn
+    from."""
 
     generator_index: int
     g_factors: Tuple[NcPoly, ...]
-    matching: Tuple[Tuple[NcPoly, NcPoly, AssocYes], ...]
-    verification: str = "verified"
+    matching: Tuple[FactorMatch, ...]
 
 
 @dataclass(frozen=True)
 class DetZeroNo:
-    """Per generator: a factor refuted against every factor of g.
-
-    Each refutation carries the generator index, its complete factorization,
-    the refuted factor, and one AssocNo per entry of g_factors, in order."""
+    """Per generator: a factor refuted against every factor of g."""
 
     g_factors: Tuple[NcPoly, ...]
-    refutations: Tuple[Tuple[int, Tuple[NcPoly, ...], NcPoly, Tuple[AssocNo, ...]], ...]
-    verification: str = "verified"
+    refutations: Tuple[Refutation, ...]
 
 
 @dataclass(frozen=True)
 class DetZeroUnknown:
     reason: str
-    verification: str = "none"
 
 
 def detzero_inclusion(
@@ -663,7 +622,7 @@ def detzero_inclusion(
             )
         return cache[key]
 
-    refutations: List[Tuple[int, Tuple[NcPoly, ...], NcPoly, Tuple[AssocNo, ...]]] = []
+    refutations: List[Refutation] = []
     refuted = 0
     blocked = False
     for j, f in enumerate(f_list):
@@ -671,7 +630,7 @@ def detzero_inclusion(
         if f_factors is None:
             blocked = True
             continue
-        matching: List[Tuple[NcPoly, NcPoly, AssocYes]] = []
+        matching: List[FactorMatch] = []
         fully_matched = True
         refuting: Optional[Tuple[NcPoly, Tuple[AssocNo, ...]]] = None
         for a in f_factors:
@@ -688,18 +647,27 @@ def detzero_inclusion(
                 else:
                     saw_unknown = True
             if match is not None:
-                matching.append((a, match[0], match[1]))
+                matching.append(FactorMatch(a, *match))
                 continue
             fully_matched = False
             if not saw_unknown and refuting is None:
                 refuting = (a, tuple(no_certs))
         if fully_matched:
+            self_check(
+                checks.detzero_yes, f_list, g, j, g_factors,
+                [(m.factor, m.matched_to, _mats(m.assoc)) for m in matching],
+            )
             return DetZeroYes(generator_index=j, g_factors=g_factors, matching=tuple(matching))
         if refuting is not None:
             refuted += 1
-            refutations.append((j, f_factors, refuting[0], refuting[1]))
+            refutations.append(Refutation(j, f_factors, *refuting))
         else:
             blocked = True
     if not blocked and refuted == len(f_list):
+        self_check(
+            checks.detzero_no, f_list, g, g_factors,
+            [(r.generator_index, r.f_factors, r.refuted,
+              [(c.point, c.vector, c.vanishing) for c in r.certs]) for r in refutations],
+        )
         return DetZeroNo(g_factors=g_factors, refutations=tuple(refutations))
     return DetZeroUnknown("undecided stable-associativity pairs block both verdicts")

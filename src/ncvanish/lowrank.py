@@ -10,14 +10,15 @@ the exact re-check; the float path is never trusted.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .evaluate import MatTuple, eval_poly, pi_test, random_tuple, weyl_pair
+from . import checks
+from .checks import self_check
+from .evaluate import MatTuple, eval_poly, rank_profile  # noqa: F401  (rank_profile re-exported)
 from .linalg import QMatrix, QVector, rank, rational_reconstruct, solve_linear
 from .poly import NcPoly, commutator
 
@@ -390,35 +391,6 @@ def lowrank_search(f: NcPoly, n: int, cfg: SearchConfig) -> SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Rank profiles
-# ---------------------------------------------------------------------------
-
-
-def _structured_candidates(d: int, n: int) -> List[MatTuple]:
-    out = [MatTuple([QMatrix.zeros(n, n) for _ in range(d)])]
-    if d >= 2:
-        w = weyl_pair(n)
-        out.append(MatTuple(list(w.matrices) + [QMatrix.zeros(n, n)] * (d - 2)))
-    for c in (1, -1, 2):
-        out.append(MatTuple([c * QMatrix.identity(n) for _ in range(d)]))
-    return out
-
-
-def rank_profile(
-    f: NcPoly, n_range: Sequence[int], samples: int = 20, seed: int = 0
-) -> Dict[int, int]:
-    """Minimum exact rank of f(X) over seeded random and structured tuples,
-    per matrix size.  An observed upper bound on min rank, nothing more."""
-    out: Dict[int, int] = {}
-    for n in n_range:
-        rng = random.Random(f"{seed}:{n}")
-        candidates = _structured_candidates(f.d, n)
-        candidates.extend(random_tuple(rng, n, f.d) for _ in range(samples))
-        out[n] = min(rank(eval_poly(f, point)) for point in candidates)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Reference witnesses
 # ---------------------------------------------------------------------------
 
@@ -456,127 +428,8 @@ def reference_witnesses() -> List[MatTuple]:
 
 
 def verify_reference_witnesses() -> Dict[str, object]:
-    """Re-check the published low-rank witnesses in exact arithmetic.
-
-    Asserts rank 1 at both reference points and that the polynomial minus 1
-    is a 2x2 identity, then returns the measured data."""
+    """Re-check the published low-rank witnesses in exact arithmetic: rank 1
+    at both reference points, and the polynomial minus 1 a 2x2 identity."""
     f = reference_poly()
-    ranks: Dict[int, int] = {}
-    for point in reference_witnesses():
-        r = rank(eval_poly(f, point))
-        if r != 1:
-            raise AssertionError(f"reference witness at n={point.n} has rank {r}, expected 1")
-        ranks[point.n] = r
-    identity_on_2x2 = pi_test(f - NcPoly.one(2), 2)
-    if not identity_on_2x2:
-        raise AssertionError("polynomial minus 1 is not a 2x2 identity")
-    return {
-        "polynomial": f,
-        "ranks": ranks,
-        "identity_on_2x2": identity_on_2x2,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Trace witness search
-# ---------------------------------------------------------------------------
-
-_GRID_ENTRIES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
-
-
-def _trace_ok(f_list: Sequence[NcPoly], g: NcPoly, point: MatTuple) -> bool:
-    if any(eval_poly(f, point).trace() != 0 for f in f_list):
-        return False
-    return eval_poly(g, point).trace() != 0
-
-
-def trace_witness_search(
-    f_list: Sequence[NcPoly],
-    g: NcPoly,
-    n: int,
-    cfg: SearchConfig,
-) -> Optional[MatTuple]:
-    """Best-effort hunt for X with tr f_j(X) = 0 for all j and tr g(X) != 0.
-
-    Exact-first: structured tuples and seeded small-entry samples, checked in
-    exact arithmetic.  Then float descent on the squared traces with a
-    nonvanishing penalty for g, snapped back to rationals.  None when
-    nothing verified."""
-    d = max([g.d] + [f.d for f in f_list])
-
-    structured = _structured_candidates(d, n)
-    nil = QMatrix.zeros(n, n) if n < 2 else QMatrix(
-        [[1 if (i, j) in ((0, 0), (0, 1)) else (-1 if (i, j) in ((1, 0), (1, 1)) else 0)
-          for j in range(n)] for i in range(n)]
-    )
-    structured.append(MatTuple([nil] * d))
-    structured.append(MatTuple([QMatrix.identity(n)] + [QMatrix.zeros(n, n)] * (d - 1)))
-    for point in structured:
-        if _trace_ok(f_list, g, point):
-            return point
-
-    rng = random.Random(cfg.seed)
-    for _ in range(400):
-        mats = [
-            QMatrix([[rng.choice(_GRID_ENTRIES) for _ in range(n)] for _ in range(n)])
-            for _ in range(d)
-        ]
-        point = MatTuple(mats)
-        if _trace_ok(f_list, g, point):
-            return point
-
-    # float phase: J = sum tr(f_j)^2 + (relu(1 - tr(g)^2))^2
-    def float_obj(mats: List[np.ndarray]) -> float:
-        total = 0.0
-        for f in f_list:
-            total += float(np.trace(_eval_float_batch(f, [m[None] for m in mats])[0])) ** 2
-        tg = float(np.trace(_eval_float_batch(g, [m[None] for m in mats])[0]))
-        total += max(0.0, 1.0 - tg * tg) ** 2
-        return total
-
-    for restart in range(cfg.restarts):
-        gen = np.random.default_rng([cfg.seed, n, restart])
-        mats = [gen.uniform(-2.0, 2.0, size=(n, n)) for _ in range(d)]
-        obj = float_obj(mats)
-        step = cfg.initial_step
-        for _ in range(cfg.max_iters):
-            if obj <= cfg.tolerance:
-                break
-            grads = []
-            norm_sq = 0.0
-            for i in range(d):
-                gmat = np.zeros((n, n))
-                for p in range(n):
-                    for q in range(n):
-                        h = 1e-6 * (1.0 + abs(mats[i][p, q]))
-                        mats[i][p, q] += h
-                        up = float_obj(mats)
-                        mats[i][p, q] -= 2 * h
-                        down = float_obj(mats)
-                        mats[i][p, q] += h
-                        gmat[p, q] = (up - down) / (2 * h)
-                grads.append(gmat)
-                norm_sq += float(np.sum(gmat * gmat))
-            if norm_sq < 1e-30:
-                break
-            moved = False
-            for _ in range(40):
-                trial = [m - step * gmat for m, gmat in zip(mats, grads)]
-                trial_obj = float_obj(trial)
-                if trial_obj < obj:
-                    mats, obj = trial, trial_obj
-                    step *= cfg.step_grow
-                    moved = True
-                    break
-                step *= cfg.step_shrink
-            if not moved:
-                break
-        if obj <= cfg.tolerance:
-            exact = _entrywise_exact(mats, cfg.max_den)
-            if exact is not None and _trace_ok(f_list, g, exact):
-                return exact
-            for den in _SNAP_LADDER:
-                snapped = _snap(mats, den)
-                if _trace_ok(f_list, g, snapped):
-                    return snapped
-    return None
+    ranks = self_check(checks.reference_witnesses, f, reference_witnesses())
+    return {"polynomial": f, "ranks": ranks, "identity_on_2x2": True}

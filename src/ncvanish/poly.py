@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 Word = Tuple[int, ...]
@@ -162,14 +161,6 @@ class NcPoly:
     def is_homogeneous(self) -> bool:
         return len({len(w) for w in self.terms}) <= 1
 
-    def structure(self) -> "PolyStructure":
-        comps = self.homogeneous_components()
-        return PolyStructure(
-            degree=self.degree,
-            homogeneous=len(comps) <= 1,
-            components=[(k, comps[k]) for k in sorted(comps)],
-        )
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_d(self, other: "NcPoly") -> None:
@@ -280,15 +271,6 @@ class NcPoly:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-@dataclass(frozen=True)
-class PolyStructure:
-    """Degree and homogeneous decomposition report."""
-
-    degree: Union[int, float]
-    homogeneous: bool
-    components: List[Tuple[int, NcPoly]]
 
 
 def commutator(p: NcPoly, q: NcPoly) -> NcPoly:

@@ -1,51 +1,44 @@
 """Certificate documents: JSON encoding plus standalone re-verification.
 
 One document per engine run: the problem statement, the certificate, and the
-engine's verification status.  `verify_certificate` re-derives every
-checkable identity from the document alone, re-parsing polynomials through
-the shared grammar and matrices through the shared tuple format.  Search
-bounds and completeness flags are carried as metadata: they describe how hard
-an engine looked, not an algebraic fact a document could prove.
+engine's verification status.  Each certificate kind is one row of `_KINDS`:
+the engine type it encodes, the constant `verification` string its documents
+carry, and a function that decodes a document and runs the kind's checker
+from `checks`, the same checker the engine ran before returning.  Decoding
+re-parses polynomials through the shared grammar and matrices through the
+shared tuple format.  Search bounds and completeness flags are carried as
+metadata: they describe how hard an engine looked, not an algebraic fact a
+document could prove.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from . import certify, factorization as factor_mod, lowrank as lowrank_mod
-from .evaluate import MatTuple, classify_point, eval_poly, eval_poly_vector, pi_test, weyl_pair
-from .linalg import QMatrix, QVector, rank
-from .poly import NcPoly, commutator, format_poly, parse
+from . import certify, checks, factorization as factor_mod
+from .checks import CheckFailed
+from .evaluate import MatTuple, eval_poly, eval_poly_vector
+from .linalg import QMatrix, QVector
+from .poly import NcPoly, format_poly, parse
 
 FORMAT_NAME = "ncvanish-certificate"
 FORMAT_VERSION = 1
-
-
-def _vec_json(v: QVector) -> List[str]:
-    return [str(e) for e in v.entries]
 
 
 def _vec_of(data: Sequence[str]) -> QVector:
     return QVector([Fraction(e) for e in data])
 
 
-def _mat_json(m: QMatrix) -> List[List[str]]:
-    return [[str(e) for e in row] for row in m.entries]
+def _polys(data: Sequence[str], d: int) -> List[NcPoly]:
+    return [parse(s, d) for s in data]
 
 
-def _mat_of(data: Sequence[Sequence[str]]) -> QMatrix:
-    return QMatrix(data)
-
-
-def _mat2_json(m) -> List[List[str]]:
-    return [[format_poly(e) for e in row] for row in m]
-
-
-def _mat2_of(data, d: int):
-    return tuple(tuple(parse(e, d) for e in row) for row in data)
+def _mat2_of(data, d: int) -> checks.Mat2:
+    return tuple(tuple(parse(e, d) for e in row) for row in data)  # type: ignore[return-value]
 
 
 def make_document(problem: dict, certificate: dict) -> dict:
@@ -66,7 +59,7 @@ def save_document(doc: dict, path: str) -> None:
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError("not a certificate document")
     return doc
 
@@ -76,192 +69,45 @@ def load_document(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _json(value):
+    """JSON form of a certificate value.  Certificate objects become objects
+    keyed by field name, tagged with their kind and verification string when
+    their type has a row in `_KINDS`."""
+    if isinstance(value, NcPoly):
+        return format_poly(value)
+    if isinstance(value, MatTuple):
+        return value.to_json()
+    if isinstance(value, QVector):
+        return [str(e) for e in value.entries]
+    if isinstance(value, QMatrix):
+        return [[str(e) for e in row] for row in value.entries]
+    if isinstance(value, Fraction):
+        return str(value)
+    if hasattr(value, "_asdict") or dataclasses.is_dataclass(value):
+        fields = value._asdict() if hasattr(value, "_asdict") else {
+            f.name: getattr(value, f.name) for f in dataclasses.fields(value)
+        }
+        kind = _KIND_OF_TYPE.get(type(value))
+        extra = {} if kind is None else tagged(kind)
+        return {**{name: _json(v) for name, v in fields.items()}, **extra}
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    return value
+
+
+def tagged(kind: str, **fields) -> dict:
+    """Certificate fields tagged with the kind and its verification string;
+    the command layer builds its certificates through this."""
+    return {"kind": kind, **fields, "verification": _KINDS[kind].verification}
+
+
 def encode_certificate(cert) -> dict:
-    """Certificate object to its JSON form; dispatch on the concrete type."""
-    if isinstance(cert, certify.LeftCombination):
-        return {
-            "kind": "left_combination",
-            "cofactors": [format_poly(p) for p in cert.cofactors],
-            "verification": cert.verification,
-        }
-    if isinstance(cert, certify.DirectionalWitness):
-        return {
-            "kind": "left_witness",
-            "point": cert.point.to_json(),
-            "vector": _vec_json(cert.vector),
-            "f_values": [_vec_json(v) for v in cert.f_values],
-            "g_value": _vec_json(cert.g_value),
-            "verification": cert.verification,
-        }
-    if isinstance(cert, certify.HomCombination):
-        return {
-            "kind": "hom_combination",
-            "pairs": [
-                [[format_poly(p), format_poly(q)] for p, q in group]
-                for group in cert.pairs
-            ],
-            "verification": cert.verification,
-        }
-    if isinstance(cert, certify.MatrixWitness):
-        return {
-            "kind": "hom_witness",
-            "point": cert.point.to_json(),
-            "f_values": [_mat_json(m) for m in cert.f_values],
-            "g_value": _mat_json(cert.g_value),
-            "verification": cert.verification,
-        }
-    if isinstance(cert, certify.TraceCombination):
-        return {
-            "kind": "trace_combination",
-            "branch": cert.branch,
-            "lambdas": [str(x) for x in cert.lambdas],
-            "commutators": [
-                [format_poly(a), format_poly(b)] for a, b in cert.commutators
-            ],
-            "verification": cert.verification,
-        }
-    if isinstance(cert, certify.TraceNotMember):
-        return {"kind": "trace_not_member", "verification": cert.verification}
-    if isinstance(cert, certify.SpanCoefficients):
-        return {
-            "kind": "span_coefficients",
-            "coefficients": [str(x) for x in cert.coefficients],
-            "verification": cert.verification,
-        }
-    if isinstance(cert, certify.WeakWitness):
-        return {
-            "kind": "span_witness",
-            "point": cert.point.to_json(),
-            "left": _vec_json(cert.left),
-            "right": _vec_json(cert.right),
-            "f_values": [str(x) for x in cert.f_values],
-            "g_value": str(cert.g_value),
-            "verification": cert.verification,
-        }
-    if isinstance(cert, certify.SpanUnknown):
-        return {
-            "kind": "span_unknown",
-            "sizes_tried": cert.sizes_tried,
-            "attempts_per_size": cert.attempts_per_size,
-            "verification": cert.verification,
-        }
-    if isinstance(cert, certify.CompositionCoefficients):
-        return {
-            "kind": "composition",
-            "coefficients": [str(x) for x in cert.coefficients],
-            "verification": cert.verification,
-        }
-    if isinstance(cert, certify.EigenWitness):
-        return _eigen_json(cert)
-    if isinstance(cert, certify.CompositionNotMember):
-        return {
-            "kind": "composition_not_member",
-            "witness": None if cert.witness is None else _eigen_json(cert.witness),
-            "verification": cert.verification,
-        }
-    if isinstance(cert, list) and cert and isinstance(cert[0], factor_mod.Factorization):
-        return {
-            "kind": "factorization",
-            "options": [
-                {
-                    "unit": str(fz.unit),
-                    "factors": [format_poly(p) for p in fz.factors],
-                    "evidence": [
-                        {
-                            "exhaustive": e.exhaustive,
-                            "degree": e.degree,
-                            "max_degree": e.max_degree,
-                        }
-                        for e in fz.evidence
-                    ],
-                }
-                for fz in cert
-            ],
-            "verification": "verified",
-        }
-    if isinstance(cert, factor_mod.AssocYes):
-        return _assoc_yes_json(cert)
-    if isinstance(cert, factor_mod.AssocNo):
-        return _assoc_no_json(cert)
-    if isinstance(cert, factor_mod.AssocUnknown):
-        return {
-            "kind": "assoc_unknown",
-            "chain_depth": cert.chain_depth,
-            "n_max": cert.n_max,
-            "samples_per_size": cert.samples_per_size,
-            "verification": cert.verification,
-        }
-    if isinstance(cert, factor_mod.DetZeroYes):
-        return {
-            "kind": "detzero_yes",
-            "generator_index": cert.generator_index,
-            "g_factors": [format_poly(p) for p in cert.g_factors],
-            "matching": [
-                {
-                    "factor": format_poly(a),
-                    "matched_to": format_poly(b),
-                    "assoc": _assoc_yes_json(y),
-                }
-                for a, b, y in cert.matching
-            ],
-            "verification": cert.verification,
-        }
-    if isinstance(cert, factor_mod.DetZeroNo):
-        return {
-            "kind": "detzero_no",
-            "g_factors": [format_poly(p) for p in cert.g_factors],
-            "refutations": [
-                {
-                    "generator_index": j,
-                    "f_factors": [format_poly(p) for p in fs],
-                    "refuted": format_poly(a),
-                    "certs": [_assoc_no_json(c) for c in certs],
-                }
-                for j, fs, a, certs in cert.refutations
-            ],
-            "verification": cert.verification,
-        }
-    if isinstance(cert, factor_mod.DetZeroUnknown):
-        return {
-            "kind": "detzero_unknown",
-            "reason": cert.reason,
-            "verification": cert.verification,
-        }
-    raise TypeError(f"no JSON encoding for {type(cert).__name__}")
-
-
-def _eigen_json(w: certify.EigenWitness) -> dict:
-    return {
-        "kind": "composition_witness",
-        "point": w.point.to_json(),
-        "vector": _vec_json(w.vector),
-        "eigenvalue": str(w.eigenvalue),
-        "g_value": _vec_json(w.g_value),
-        "verification": w.verification,
-    }
-
-
-def _assoc_yes_json(cert: factor_mod.AssocYes) -> dict:
-    return {
-        "kind": "assoc_yes",
-        "p_mat": _mat2_json(cert.p_mat),
-        "q_mat": _mat2_json(cert.q_mat),
-        "p_inv": _mat2_json(cert.p_inv),
-        "q_inv": _mat2_json(cert.q_inv),
-        "verification": cert.verification,
-    }
-
-
-def _assoc_no_json(cert: factor_mod.AssocNo) -> dict:
-    return {
-        "kind": "assoc_no",
-        "point": cert.point.to_json(),
-        "vector": _vec_json(cert.vector),
-        "vanishing": cert.vanishing,
-        "p_value": _vec_json(cert.p_value),
-        "q_value": _vec_json(cert.q_value),
-        "verification": cert.verification,
-    }
+    """Certificate object to its JSON form."""
+    if isinstance(cert, list):  # `factor` returns its options as a plain list
+        return tagged("factorization", options=_json(cert))
+    if type(cert) not in _KIND_OF_TYPE:
+        raise TypeError(f"no JSON encoding for {type(cert).__name__}")
+    return _json(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -276,510 +122,291 @@ class VerifyResult:
     detail: str
 
 
-def _fail(kind: str, detail: str) -> VerifyResult:
-    return VerifyResult(False, kind, detail)
-
-
-def _pass(kind: str, detail: str) -> VerifyResult:
-    return VerifyResult(True, kind, detail)
-
-
 def verify_certificate(doc: dict) -> VerifyResult:
     """Re-check a certificate document from first principles.
 
-    Identity-bearing kinds are re-verified by exact arithmetic; negative or
-    unknown outcomes with no checkable identity are accepted structurally,
-    with the detail naming what was and was not re-checked.
+    Evidence-bearing kinds are re-checked by exact arithmetic; kinds that
+    carry only search metadata are accepted structurally, with the detail
+    naming what was and was not re-checked.  A malformed document fails
+    with a one-line detail, never a traceback.
     """
-    cert = doc["certificate"]
-    problem = doc["problem"]
-    kind = cert.get("kind", "?")
-    verifier = _VERIFIERS.get(kind)
-    if verifier is None:
-        return _fail(kind, f"unknown certificate kind {kind!r}")
+    kind = "?"
     try:
-        return verifier(problem, cert)
+        cert, problem = doc["certificate"], doc["problem"]
+        kind = cert.get("kind", "?")
+        row = _KINDS.get(kind)
+        if row is None:
+            return VerifyResult(False, kind, f"unknown certificate kind {kind!r}")
+        return VerifyResult(True, kind, row.verify(problem, cert))
+    except CheckFailed as exc:
+        return VerifyResult(False, kind, str(exc))
     except Exception as exc:  # malformed documents land here, not in tracebacks
-        return _fail(kind, f"verification crashed: {exc}")
+        return VerifyResult(False, str(kind), f"verification crashed: {type(exc).__name__}: {exc}")
 
 
-def _parse_generators(problem: dict) -> Tuple[int, List[NcPoly], NcPoly]:
+def _same(stored, computed, what: str) -> None:
+    if stored != _json(computed):
+        raise CheckFailed(f"stored {what} disagree with re-evaluation")
+
+
+def _generators(problem: dict):
     d = int(problem["d"])
-    gens = [parse(s, d) for s in problem["generators"]]
-    target = parse(problem["target"], d)
-    return d, gens, target
+    return _polys(problem["generators"], d), parse(problem["target"], d)
 
 
-def _verify_left_combination(problem: dict, cert: dict) -> VerifyResult:
-    d, gens, target = _parse_generators(problem)
-    cofactors = [parse(s, d) for s in cert["cofactors"]]
-    if len(cofactors) != len(gens):
-        return _fail("left_combination", "cofactor count mismatch")
-    total = NcPoly.zero(d)
-    for p, f in zip(cofactors, gens):
-        total = total + p * f
-    if total != target:
-        return _fail("left_combination", "sum of cofactor products misses the target")
-    return _pass("left_combination", "target equals the left combination exactly")
+def _left_combination(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
+    checks.left_combination(gens, target, _polys(cert["cofactors"], target.d))
+    return "target equals the left combination exactly"
 
 
-def _verify_left_witness(problem: dict, cert: dict) -> VerifyResult:
-    d, gens, target = _parse_generators(problem)
-    point = MatTuple.from_json(cert["point"])
-    vector = _vec_of(cert["vector"])
-    for i, f in enumerate(gens):
-        value = eval_poly_vector(f, point, vector)
-        if not value.is_zero():
-            return _fail("left_witness", f"generator {i} does not kill the vector")
-        if _vec_of(cert["f_values"][i]) != value:
-            return _fail("left_witness", f"stored value for generator {i} is wrong")
-    g_value = eval_poly_vector(target, point, vector)
-    if g_value.is_zero():
-        return _fail("left_witness", "target kills the vector too")
-    if _vec_of(cert["g_value"]) != g_value:
-        return _fail("left_witness", "stored target value is wrong")
-    return _pass("left_witness", "directional zero of the generators, nonzero for the target")
+def _left_witness(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
+    point, vector = MatTuple.from_json(cert["point"]), _vec_of(cert["vector"])
+    values = checks.left_witness(gens, target, point, vector)
+    _same([cert["f_values"], cert["g_value"]], values, "generator and target values")
+    return "directional zero of the generators, nonzero for the target"
 
 
-def _verify_hom_combination(problem: dict, cert: dict) -> VerifyResult:
-    d, gens, target = _parse_generators(problem)
-    groups = cert["pairs"]
-    if len(groups) != len(gens):
-        return _fail("hom_combination", "pair group count mismatch")
-    total = NcPoly.zero(d)
-    for f, group in zip(gens, groups):
-        for p_str, q_str in group:
-            total = total + parse(p_str, d) * f * parse(q_str, d)
-    if total != target:
-        return _fail("hom_combination", "two-sided combination misses the target")
-    return _pass("hom_combination", "target equals the two-sided combination exactly")
+def _hom_combination(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
+    pairs = [[(parse(p, target.d), parse(q, target.d)) for p, q in group] for group in cert["pairs"]]
+    checks.hom_combination(gens, target, pairs)
+    return "target equals the two-sided combination exactly"
 
 
-def _verify_hom_witness(problem: dict, cert: dict) -> VerifyResult:
-    d, gens, target = _parse_generators(problem)
-    point = MatTuple.from_json(cert["point"])
-    for i, f in enumerate(gens):
-        value = eval_poly(f, point)
-        if not value.is_zero():
-            return _fail("hom_witness", f"generator {i} is nonzero at the point")
-        if _mat_of(cert["f_values"][i]) != value:
-            return _fail("hom_witness", f"stored value for generator {i} is wrong")
-    g_value = eval_poly(target, point)
-    if g_value.is_zero():
-        return _fail("hom_witness", "target also vanishes at the point")
-    if _mat_of(cert["g_value"]) != g_value:
-        return _fail("hom_witness", "stored target value is wrong")
-    return _pass("hom_witness", "point kills every generator but not the target")
+def _hom_witness(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
+    values = checks.hom_witness(gens, target, MatTuple.from_json(cert["point"]))
+    _same([cert["f_values"], cert["g_value"]], values, "generator and target values")
+    return "point kills every generator but not the target"
 
 
-def _verify_trace_combination(problem: dict, cert: dict) -> VerifyResult:
-    d, gens, target = _parse_generators(problem)
+def _trace_combination(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
+    commutators = [(parse(a, target.d), parse(b, target.d)) for a, b in cert["commutators"]]
     lambdas = [Fraction(x) for x in cert["lambdas"]]
-    if len(lambdas) != len(gens):
-        return _fail("trace_combination", "lambda count mismatch")
-    goal = NcPoly.one(d) if cert["branch"] == "one-in-span" else target
-    total = NcPoly.zero(d)
-    for lam, f in zip(lambdas, gens):
-        total = total + NcPoly.constant(lam, d) * f
-    for a_str, b_str in cert["commutators"]:
-        a, b = parse(a_str, d), parse(b_str, d)
-        total = total + (a * b - b * a)
-    if total != goal:
-        return _fail("trace_combination", "combination plus commutators misses the goal")
-    return _pass(
-        "trace_combination",
-        f"branch {cert['branch']}: goal equals the combination plus explicit commutators",
+    checks.trace_combination(gens, target, cert["branch"], lambdas, commutators)
+    return f"branch {cert['branch']}: goal equals the combination plus explicit commutators"
+
+
+def _span_coefficients(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
+    checks.span_coefficients(gens, target, [Fraction(x) for x in cert["coefficients"]])
+    return "target equals the linear combination exactly"
+
+
+def _span_witness(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
+    point, right = MatTuple.from_json(cert["point"]), _vec_of(cert["right"])
+    values = checks.weak_pairings(
+        _vec_of(cert["left"]),
+        [eval_poly_vector(f, point, right) for f in gens],
+        eval_poly_vector(target, point, right),
     )
+    _same([cert["f_values"], cert["g_value"]], values, "generator and target pairings")
+    return "weak zero of the generators, nonzero for the target"
 
 
-def _verify_trace_not_member(problem: dict, cert: dict) -> VerifyResult:
-    return _pass(
-        "trace_not_member",
-        "negative outcome; no identity to re-check (engine performed the span test)",
+def _composition_parts(problem: dict):
+    d = int(problem["d"])
+    return parse(problem["inner"], d), parse(problem["target"], d)
+
+
+def _composition(problem: dict, cert: dict) -> str:
+    inner, target = _composition_parts(problem)
+    checks.composition(inner, target, [Fraction(x) for x in cert["coefficients"]])
+    return "target equals the polynomial in the inner function"
+
+
+def _composition_witness(problem: dict, cert: dict) -> str:
+    inner, target = _composition_parts(problem)
+    g_value = checks.eigen_witness(
+        inner, target, MatTuple.from_json(cert["point"]), _vec_of(cert["vector"]),
+        Fraction(cert["eigenvalue"]),
     )
+    _same(cert["g_value"], g_value, "target values")
+    return "eigenvector of the inner value whose target value leaves the eigenline"
 
 
-def _verify_span_coefficients(problem: dict, cert: dict) -> VerifyResult:
-    d, gens, target = _parse_generators(problem)
-    coeffs = [Fraction(x) for x in cert["coefficients"]]
-    if len(coeffs) != len(gens):
-        return _fail("span_coefficients", "coefficient count mismatch")
-    total = NcPoly.zero(d)
-    for c, f in zip(coeffs, gens):
-        total = total + NcPoly.constant(c, d) * f
-    if total != target:
-        return _fail("span_coefficients", "linear combination misses the target")
-    return _pass("span_coefficients", "target equals the linear combination exactly")
+def _composition_not_member(problem: dict, cert: dict) -> str:
+    if cert["witness"] is not None:
+        _composition_witness(problem, cert["witness"])
+        return "eigenvector witness re-checked"
+    checks.constant_inner(*_composition_parts(problem))
+    return "inner polynomial is constant and the target is not; no witness needed"
 
 
-def _verify_span_witness(problem: dict, cert: dict) -> VerifyResult:
-    d, gens, target = _parse_generators(problem)
-    point = MatTuple.from_json(cert["point"])
-    left = _vec_of(cert["left"])
-    right = _vec_of(cert["right"])
-    for i, f in enumerate(gens):
-        value = left.dot(eval_poly_vector(f, point, right))
-        if value != 0:
-            return _fail("span_witness", f"generator {i} is nonzero in the weak pairing")
-        if Fraction(cert["f_values"][i]) != value:
-            return _fail("span_witness", f"stored pairing for generator {i} is wrong")
-    g_value = left.dot(eval_poly_vector(target, point, right))
-    if g_value == 0:
-        return _fail("span_witness", "target also vanishes in the weak pairing")
-    if Fraction(cert["g_value"]) != g_value:
-        return _fail("span_witness", "stored target pairing is wrong")
-    return _pass("span_witness", "weak zero of the generators, nonzero for the target")
-
-
-def _verify_span_unknown(problem: dict, cert: dict) -> VerifyResult:
-    return _pass("span_unknown", "unknown outcome; search bounds carried as metadata")
-
-
-def _verify_composition(problem: dict, cert: dict) -> VerifyResult:
+def _factorization(problem: dict, cert: dict) -> str:
     d = int(problem["d"])
-    inner = parse(problem["inner"], d)
-    target = parse(problem["target"], d)
-    coeffs = [Fraction(x) for x in cert["coefficients"]]
-    total = NcPoly.zero(d)
-    power = NcPoly.one(d)
-    for c in coeffs:
-        total = total + NcPoly.constant(c, d) * power
-        power = power * inner
-    if total != target:
-        return _fail("composition", "polynomial in the inner function misses the target")
-    return _pass("composition", "target equals the polynomial in the inner function")
-
-
-def _check_eigen_witness(problem: dict, data: dict) -> Optional[str]:
-    d = int(problem["d"])
-    inner = parse(problem["inner"], d)
-    target = parse(problem["target"], d)
-    point = MatTuple.from_json(data["point"])
-    vector = _vec_of(data["vector"])
-    lam = Fraction(data["eigenvalue"])
-    if vector.is_zero():
-        return "witness vector is zero"
-    f_value = eval_poly_vector(inner, point, vector)
-    if f_value != lam * vector:
-        return "vector is not an eigenvector at the stated eigenvalue"
-    g_value = eval_poly_vector(target, point, vector)
-    if _vec_of(data["g_value"]) != g_value:
-        return "stored target value is wrong"
-    n = len(vector)
-    for i in range(n):
-        for j in range(n):
-            if vector[i] * g_value[j] != vector[j] * g_value[i]:
-                return None  # some 2x2 minor is nonzero: not parallel, witness valid
-    return "target value is parallel to the vector, witness shows nothing"
-
-
-def _verify_composition_witness(problem: dict, cert: dict) -> VerifyResult:
-    issue = _check_eigen_witness(problem, cert)
-    if issue is not None:
-        return _fail("composition_witness", issue)
-    return _pass(
-        "composition_witness",
-        "eigenvector of the inner value whose target value leaves the eigenline",
-    )
-
-
-def _verify_composition_not_member(problem: dict, cert: dict) -> VerifyResult:
-    witness = cert.get("witness")
-    if witness is not None:
-        issue = _check_eigen_witness(problem, witness)
-        if issue is not None:
-            return _fail("composition_not_member", issue)
-        return _pass("composition_not_member", "eigenvector witness re-checked")
-    d = int(problem["d"])
-    inner = parse(problem["inner"], d)
-    target = parse(problem["target"], d)
-    if inner.degree < 1 and target.degree >= 1:
-        return _pass(
-            "composition_not_member",
-            "inner polynomial is constant and the target is not; no witness needed",
-        )
-    return _fail("composition_not_member", "no witness and no degree argument")
-
-
-def _verify_factorization(problem: dict, cert: dict) -> VerifyResult:
-    d = int(problem["d"])
-    f = parse(problem["polynomial"], d)
-    options = cert["options"]
-    if not options:
-        return _fail("factorization", "no factorizations recorded")
-    for idx, option in enumerate(options):
-        unit = Fraction(option["unit"])
-        product = NcPoly.constant(unit, d)
-        for s, info in zip(option["factors"], option["evidence"]):
-            p = parse(s, d)
-            if p.degree != info["degree"]:
-                return _fail("factorization", f"option {idx}: recorded degree is wrong")
-            product = product * p
-        if product != f:
-            return _fail("factorization", f"option {idx} does not multiply back")
-    return _pass(
-        "factorization",
+    options = [
+        (Fraction(o["unit"]), _polys(o["factors"], d), [e["degree"] for e in o["evidence"]])
+        for o in cert["options"]
+    ]
+    checks.factorization(parse(problem["polynomial"], d), options)
+    return (
         f"{len(options)} factorization(s) multiply back exactly; "
-        "irreducibility flags are search metadata",
+        "irreducibility flags are search metadata"
     )
 
 
-def _assoc_parts(problem: dict) -> Tuple[int, NcPoly, NcPoly]:
+def _assoc_mats(cert: dict, d: int):
+    return [_mat2_of(cert[name], d) for name in ("p_mat", "q_mat", "p_inv", "q_inv")]
+
+
+def _assoc_parts(problem: dict):
     d = int(problem["d"])
-    return d, parse(problem["p"], d), parse(problem["q"], d)
+    return parse(problem["p"], d), parse(problem["q"], d)
 
 
-def _check_assoc_yes(d: int, p: NcPoly, q: NcPoly, cert: dict) -> Optional[str]:
-    p_mat = _mat2_of(cert["p_mat"], d)
-    q_mat = _mat2_of(cert["q_mat"], d)
-    p_inv = _mat2_of(cert["p_inv"], d)
-    q_inv = _mat2_of(cert["q_inv"], d)
-    identity = factor_mod._mat2_identity(d)
-    if factor_mod._mat2_mul(factor_mod._mat2_mul(p_mat, factor_mod._diag2(q)), q_mat) != factor_mod._diag2(p):
-        return "P diag(q,1) Q does not equal diag(p,1)"
-    for name, m, inv in (("P", p_mat, p_inv), ("Q", q_mat, q_inv)):
-        if factor_mod._mat2_mul(m, inv) != identity or factor_mod._mat2_mul(inv, m) != identity:
-            return f"{name} and its recorded inverse do not multiply to the identity"
-    return None
+def _assoc_yes(problem: dict, cert: dict) -> str:
+    p, q = _assoc_parts(problem)
+    checks.assoc_yes(p, q, *_assoc_mats(cert, p.d))
+    return "2x2 identity and both inverses re-checked symbolically"
 
 
-def _verify_assoc_yes(problem: dict, cert: dict) -> VerifyResult:
-    d, p, q = _assoc_parts(problem)
-    issue = _check_assoc_yes(d, p, q, cert)
-    if issue is not None:
-        return _fail("assoc_yes", issue)
-    return _pass("assoc_yes", "2x2 identity and both inverses re-checked symbolically")
+def _assoc_witness(cert: dict):
+    return MatTuple.from_json(cert["point"]), _vec_of(cert["vector"]), cert["vanishing"]
 
 
-def _check_assoc_no(d: int, p: NcPoly, q: NcPoly, cert: dict) -> Optional[str]:
-    point = MatTuple.from_json(cert["point"])
-    vector = _vec_of(cert["vector"])
-    if vector.is_zero():
-        return "witness vector is zero"
-    p_value = eval_poly_vector(p, point, vector)
-    q_value = eval_poly_vector(q, point, vector)
-    if _vec_of(cert["p_value"]) != p_value or _vec_of(cert["q_value"]) != q_value:
-        return "stored values disagree with re-evaluation"
-    vanishing = cert["vanishing"]
-    killed, alive = (p_value, q_value) if vanishing == "p" else (q_value, p_value)
-    if not killed.is_zero():
-        return f"claimed vanishing polynomial {vanishing} does not kill the vector"
-    if alive.is_zero():
-        return "both polynomials kill the vector; nothing is separated"
-    return None
-
-
-def _verify_assoc_no(problem: dict, cert: dict) -> VerifyResult:
-    d, p, q = _assoc_parts(problem)
-    issue = _check_assoc_no(d, p, q, cert)
-    if issue is not None:
-        return _fail("assoc_no", issue)
-    return _pass(
-        "assoc_no",
+def _assoc_no(problem: dict, cert: dict) -> str:
+    p, q = _assoc_parts(problem)
+    values = checks.assoc_no(p, q, *_assoc_witness(cert))
+    _same([cert["p_value"], cert["q_value"]], values, "values")
+    return (
         "directional zero of one polynomial missed by the other; "
-        "stable associates share directional zeros",
+        "stable associates share directional zeros"
     )
 
 
-def _verify_assoc_unknown(problem: dict, cert: dict) -> VerifyResult:
-    return _pass("assoc_unknown", "unknown outcome; search bounds carried as metadata")
-
-
-def _verify_detzero_yes(problem: dict, cert: dict) -> VerifyResult:
-    d, gens, target = _parse_generators(problem)
-    g_factors = [parse(s, d) for s in cert["g_factors"]]
-    product = NcPoly.constant(target.lead_coeff, d)
-    for p in g_factors:
-        product = product * p
-    if product != target:
-        return _fail("detzero_yes", "g_factors do not multiply back to the target")
+def _detzero_yes(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
+    d = target.d
+    matching = [
+        (parse(m["factor"], d), parse(m["matched_to"], d), _assoc_mats(m["assoc"], d))
+        for m in cert["matching"]
+    ]
     j = cert["generator_index"]
-    if not 0 <= j < len(gens):
-        return _fail("detzero_yes", "generator index out of range")
-    f = gens[j]
-    matched = [parse(m["factor"], d) for m in cert["matching"]]
-    product = NcPoly.constant(f.lead_coeff, d)
-    for p in matched:
-        product = product * p
-    if product != f:
-        return _fail("detzero_yes", "matched factors do not multiply back to the generator")
-    g_set = {format_poly(p) for p in g_factors}
-    for m in cert["matching"]:
-        if m["matched_to"] not in g_set:
-            return _fail("detzero_yes", "a match target is not a recorded factor of g")
-        a, b = parse(m["factor"], d), parse(m["matched_to"], d)
-        issue = _check_assoc_yes(d, a, b, m["assoc"])
-        if issue is not None:
-            return _fail("detzero_yes", f"stable-associativity certificate broken: {issue}")
-    return _pass(
-        "detzero_yes",
-        f"every factor of generator {j} matches a factor of the target, certificates re-checked",
-    )
+    checks.detzero_yes(gens, target, j, _polys(cert["g_factors"], d), matching)
+    return f"every factor of generator {j} matches a factor of the target, certificates re-checked"
 
 
-def _verify_detzero_no(problem: dict, cert: dict) -> VerifyResult:
-    d, gens, target = _parse_generators(problem)
-    g_factors = [parse(s, d) for s in cert["g_factors"]]
-    product = NcPoly.constant(target.lead_coeff, d)
-    for p in g_factors:
-        product = product * p
-    if product != target:
-        return _fail("detzero_no", "g_factors do not multiply back to the target")
-    covered = set()
-    for ref in cert["refutations"]:
-        j = ref["generator_index"]
-        covered.add(j)
-        f = gens[j]
-        f_factors = [parse(s, d) for s in ref["f_factors"]]
-        product = NcPoly.constant(f.lead_coeff, d)
-        for p in f_factors:
-            product = product * p
-        if product != f:
-            return _fail("detzero_no", f"recorded factors of generator {j} do not multiply back")
-        refuted = parse(ref["refuted"], d)
-        if refuted not in f_factors:
-            return _fail("detzero_no", f"refuted factor is not a factor of generator {j}")
-        if len(ref["certs"]) != len(g_factors):
-            return _fail("detzero_no", f"generator {j} lacks one refutation per factor of g")
-        for b, no_cert in zip(g_factors, ref["certs"]):
-            issue = _check_assoc_no(d, refuted, b, no_cert)
-            if issue is not None:
-                return _fail("detzero_no", f"refutation broken: {issue}")
-    if covered != set(range(len(gens))):
-        return _fail("detzero_no", "not every generator carries a refutation")
-    return _pass(
-        "detzero_no",
+def _detzero_no(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
+    d = target.d
+    refutations = [
+        (r["generator_index"], _polys(r["f_factors"], d), parse(r["refuted"], d),
+         [_assoc_witness(c) for c in r["certs"]])
+        for r in cert["refutations"]
+    ]
+    values = checks.detzero_no(gens, target, _polys(cert["g_factors"], d), refutations)
+    stored = [[[c["p_value"], c["q_value"]] for c in r["certs"]] for r in cert["refutations"]]
+    _same(stored, values, "refutation values")
+    return (
         "each generator has a factor separated from every factor of the target; "
-        "factorization completeness flags are search metadata",
+        "factorization completeness flags are search metadata"
     )
 
 
-def _verify_detzero_unknown(problem: dict, cert: dict) -> VerifyResult:
-    return _pass("detzero_unknown", "unknown outcome; reason carried as metadata")
+def _polynomial(problem: dict) -> NcPoly:
+    return parse(problem["polynomial"], int(problem["d"]))
 
 
-def _verify_lowrank_exact(problem: dict, cert: dict) -> VerifyResult:
-    d = int(problem["d"])
-    f = parse(problem["polynomial"], d)
-    point = MatTuple.from_json(cert["point"])
+def _lowrank_exact(problem: dict, cert: dict) -> str:
     stated = int(cert["rank"])
-    actual = rank(eval_poly(f, point))
-    if actual != stated:
-        return _fail("lowrank_exact", f"exact rank is {actual}, certificate says {stated}")
-    if actual > int(problem["target_rank"]):
-        return _fail("lowrank_exact", "exact rank exceeds the target")
-    return _pass("lowrank_exact", f"exact rank {actual} at the reconstructed point")
+    point = MatTuple.from_json(cert["point"])
+    checks.lowrank_exact(_polynomial(problem), point, stated, int(problem["target_rank"]))
+    return f"exact rank {stated} at the reconstructed point"
 
 
-def _verify_lowrank_report(problem: dict, cert: dict) -> VerifyResult:
-    return _pass("lowrank_report", "float-only outcome; nothing exact to re-check")
-
-
-def _verify_pi_result(problem: dict, cert: dict) -> VerifyResult:
-    d = int(problem["d"])
-    f = parse(problem["polynomial"], d)
+def _pi_result(problem: dict, cert: dict) -> str:
     n = int(problem["n"])
-    value = pi_test(f, n)
-    if value != bool(cert["value"]):
-        return _fail("pi_result", "symbolic re-expansion disagrees with the recorded value")
-    return _pass("pi_result", f"identity test on {n}x{n} matrices re-run symbolically")
+    checks.pi_result(_polynomial(problem), n, bool(cert["value"]))
+    return f"identity test on {n}x{n} matrices re-run symbolically"
 
 
-def _verify_classification(problem: dict, cert: dict) -> VerifyResult:
-    d, gens, target = _parse_generators(problem)
-    point = MatTuple.from_json(problem["point"])
+def _classification(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
     u = _vec_of(problem["left"]) if problem.get("left") else None
     v = _vec_of(problem["right"]) if problem.get("right") else None
-    result = classify_point(gens, target, point, u, v)
-    recorded = cert["memberships"]
-    fields = {
-        "in_zero": result.in_zero,
-        "in_directional": result.in_directional,
-        "in_det_zero": result.in_det_zero,
-        "in_trace_zero": result.in_trace_zero,
-        "in_weak": result.in_weak,
-    }
-    for name, value in fields.items():
-        if recorded.get(name) != value:
-            return _fail("classification", f"{name} disagrees on re-evaluation")
-    return _pass("classification", "membership table re-derived from exact evaluation")
-
-
-def _verify_weyl(problem: dict, cert: dict) -> VerifyResult:
-    n = int(problem["n"])
-    point = MatTuple.from_json(cert["point"])
-    if point != weyl_pair(n):
-        return _fail("weyl", "point is not the truncation pair for this size")
-    f = NcPoly.one(2) - commutator(NcPoly.var(1, 2), NcPoly.var(2, 2))
-    value = eval_poly(f, point)
-    expected = QMatrix(
-        [[Fraction(n) if i == j == n - 1 else Fraction(0) for j in range(n)] for i in range(n)]
-    )
-    if value != expected:
-        return _fail("weyl", "1 - [x1,x2] does not collapse to the corner value")
-    return _pass("weyl", "pair re-checked: 1 - [x1,x2] evaluates to the rank-1 corner")
-
-
-def _verify_rankprofile(problem: dict, cert: dict) -> VerifyResult:
-    d = int(problem["d"])
-    f = parse(problem["polynomial"], d)
-    table = {int(k): int(v) for k, v in cert["table"].items()}
-    replay = lowrank_mod.rank_profile(
-        f, sorted(table), samples=int(problem["samples"]), seed=int(problem["seed"])
-    )
-    if replay != table:
-        return _fail("rankprofile", "seeded replay produced a different table")
-    return _pass("rankprofile", "table reproduced by seeded replay")
-
-
-def _verify_reference_witnesses(problem: dict, cert: dict) -> VerifyResult:
-    f = lowrank_mod.reference_poly()
-    for data in cert["points"]:
-        point = MatTuple.from_json(data)
-        r = rank(eval_poly(f, point))
-        if r != 1:
-            return _fail("reference_witnesses", f"witness at n={point.n} has rank {r}")
-    if not pi_test(f - NcPoly.one(2), 2):
-        return _fail("reference_witnesses", "polynomial minus 1 is not a 2x2 identity")
-    return _pass("reference_witnesses", "both rank-1 witnesses and the 2x2 identity re-checked")
-
-
-def _verify_eval(problem: dict, cert: dict) -> VerifyResult:
-    d = int(problem["d"])
-    f = parse(problem["polynomial"], d)
     point = MatTuple.from_json(problem["point"])
-    value = eval_poly(f, point)
-    if _mat_of(cert["value"]) != value:
-        return _fail("eval", "recorded value disagrees with exact re-evaluation")
-    return _pass("eval", "value reproduced by exact evaluation")
+    checks.classification(gens, target, point, u, v, cert["memberships"])
+    return "membership table re-derived from exact evaluation"
 
 
-_VERIFIERS = {
-    "left_combination": _verify_left_combination,
-    "left_witness": _verify_left_witness,
-    "hom_combination": _verify_hom_combination,
-    "hom_witness": _verify_hom_witness,
-    "trace_combination": _verify_trace_combination,
-    "trace_not_member": _verify_trace_not_member,
-    "span_coefficients": _verify_span_coefficients,
-    "span_witness": _verify_span_witness,
-    "span_unknown": _verify_span_unknown,
-    "composition": _verify_composition,
-    "composition_witness": _verify_composition_witness,
-    "composition_not_member": _verify_composition_not_member,
-    "factorization": _verify_factorization,
-    "assoc_yes": _verify_assoc_yes,
-    "assoc_no": _verify_assoc_no,
-    "assoc_unknown": _verify_assoc_unknown,
-    "detzero_yes": _verify_detzero_yes,
-    "detzero_no": _verify_detzero_no,
-    "detzero_unknown": _verify_detzero_unknown,
-    "lowrank_exact": _verify_lowrank_exact,
-    "lowrank_report": _verify_lowrank_report,
-    "pi_result": _verify_pi_result,
-    "classification": _verify_classification,
-    "weyl": _verify_weyl,
-    "rankprofile": _verify_rankprofile,
-    "reference_witnesses": _verify_reference_witnesses,
-    "eval": _verify_eval,
+def _weyl(problem: dict, cert: dict) -> str:
+    checks.weyl(int(problem["n"]), MatTuple.from_json(cert["point"]))
+    return "pair re-checked: 1 - [x1,x2] evaluates to the rank-1 corner"
+
+
+def _rankprofile(problem: dict, cert: dict) -> str:
+    table = {int(k): int(v) for k, v in cert["table"].items()}
+    checks.rankprofile(_polynomial(problem), table, int(problem["samples"]), int(problem["seed"]))
+    return "table reproduced by seeded replay"
+
+
+def _reference_witnesses(problem: dict, cert: dict) -> str:
+    points = [MatTuple.from_json(data) for data in cert["points"]]
+    ranks = checks.reference_witnesses(parse(problem["polynomial"], points[0].d), points)
+    _same(cert["ranks"], {str(n): r for n, r in ranks.items()}, "ranks")
+    return "both rank-1 witnesses and the 2x2 identity re-checked"
+
+
+def _eval(problem: dict, cert: dict) -> str:
+    _same(cert["value"], eval_poly(_polynomial(problem), MatTuple.from_json(problem["point"])), "value")
+    return "value reproduced by exact evaluation"
+
+
+def _metadata(detail: str) -> Callable[[dict, dict], str]:
+    return lambda problem, cert: detail
+
+
+@dataclass(frozen=True)
+class _Kind:
+    type: Optional[type]  # engine certificate type; None where the command layer builds the fields
+    verification: str  # constant status string written into every document of the kind
+    verify: Callable[[dict, dict], str]  # decode, run the checker, return the detail line
+
+
+_UNKNOWN = "unknown outcome; search bounds carried as metadata"
+
+_KINDS: Dict[str, _Kind] = {
+    "left_combination": _Kind(certify.LeftCombination, "verified", _left_combination),
+    "left_witness": _Kind(certify.DirectionalWitness, "verified", _left_witness),
+    "hom_combination": _Kind(certify.HomCombination, "verified", _hom_combination),
+    "hom_witness": _Kind(certify.MatrixWitness, "verified", _hom_witness),
+    "trace_combination": _Kind(certify.TraceCombination, "verified", _trace_combination),
+    "trace_not_member": _Kind(
+        certify.TraceNotMember, "checked",
+        _metadata("negative outcome; no identity to re-check (engine performed the span test)"),
+    ),
+    "span_coefficients": _Kind(certify.SpanCoefficients, "verified", _span_coefficients),
+    "span_witness": _Kind(certify.WeakWitness, "verified", _span_witness),
+    "span_unknown": _Kind(certify.SpanUnknown, "none", _metadata(_UNKNOWN)),
+    "composition": _Kind(certify.CompositionCoefficients, "verified", _composition),
+    "composition_witness": _Kind(certify.EigenWitness, "verified", _composition_witness),
+    "composition_not_member": _Kind(
+        certify.CompositionNotMember, "checked", _composition_not_member
+    ),
+    "factorization": _Kind(None, "verified", _factorization),
+    "assoc_yes": _Kind(factor_mod.AssocYes, "verified", _assoc_yes),
+    "assoc_no": _Kind(factor_mod.AssocNo, "verified", _assoc_no),
+    "assoc_unknown": _Kind(factor_mod.AssocUnknown, "none", _metadata(_UNKNOWN)),
+    "detzero_yes": _Kind(factor_mod.DetZeroYes, "verified", _detzero_yes),
+    "detzero_no": _Kind(factor_mod.DetZeroNo, "verified", _detzero_no),
+    "detzero_unknown": _Kind(
+        factor_mod.DetZeroUnknown, "none", _metadata("unknown outcome; reason carried as metadata")
+    ),
+    "lowrank_exact": _Kind(None, "verified", _lowrank_exact),
+    "lowrank_report": _Kind(
+        None, "none", _metadata("float-only outcome; nothing exact to re-check")
+    ),
+    "pi_result": _Kind(None, "verified", _pi_result),
+    "classification": _Kind(None, "verified", _classification),
+    "weyl": _Kind(None, "verified", _weyl),
+    "rankprofile": _Kind(None, "verified", _rankprofile),
+    "reference_witnesses": _Kind(None, "verified", _reference_witnesses),
+    "eval": _Kind(None, "verified", _eval),
 }
+
+_KIND_OF_TYPE = {row.type: kind for kind, row in _KINDS.items() if row.type is not None}

@@ -16,7 +16,6 @@ from ncvanish.certify import (
     TraceCombination,
     TraceNotMember,
     WeakWitness,
-    gns_witness,
     hom_ideal_membership,
     in_univariate_subalgebra,
     left_ideal_membership,
@@ -124,8 +123,9 @@ def test_left_membership_random_round_trips():
         assert total == g
 
 
-def test_gns_witness_shift_point():
-    w = gns_witness([parse("x1", 2)], parse("x2", 2), 1)
+def test_left_witness_shift_point():
+    w = left_ideal_membership([parse("x1", 2)], parse("x2", 2))
+    assert isinstance(w, DirectionalWitness)
     assert w.point.n == 2
     assert w.point.matrices[0] == QMatrix.zeros(2, 2)
     assert eval_poly_vector(parse("x1", 2), w.point, w.vector).is_zero()

@@ -16,7 +16,6 @@ from ncvanish.lowrank import (
     rank_profile,
     reference_poly,
     reference_witnesses,
-    trace_witness_search,
     verify_reference_witnesses,
 )
 from ncvanish.poly import NcPoly, commutator, parse
@@ -176,36 +175,6 @@ def test_verify_reference_witnesses_report():
     report = verify_reference_witnesses()
     assert report["ranks"] == {3: 1, 4: 1}
     assert report["identity_on_2x2"] is True
-
-
-def test_trace_witness_zero_point_for_single_variable():
-    cfg = SearchConfig(seed=0)
-    point = trace_witness_search([parse("x1", 1)], parse("1", 1), 1, cfg)
-    assert point is not None
-    assert eval_poly(parse("x1", 1), point).trace() == 0
-    assert eval_poly(parse("1", 1), point).trace() != 0
-
-
-def test_trace_witness_product_vs_variable():
-    cfg = SearchConfig(seed=0)
-    point = trace_witness_search([parse("x1*x2", 2)], parse("x1", 2), 1, cfg)
-    assert point is not None
-    assert eval_poly(parse("x1*x2", 2), point).trace() == 0
-    assert eval_poly(parse("x1", 2), point).trace() != 0
-
-
-def test_trace_witness_square_needs_two_dimensions():
-    cfg = SearchConfig(seed=0)
-    point = trace_witness_search([parse("x1*x1", 2)], parse("x2", 2), 2, cfg)
-    assert point is not None
-    assert eval_poly(parse("x1*x1", 2), point).trace() == 0
-    assert eval_poly(parse("x2", 2), point).trace() != 0
-
-
-def test_trace_witness_none_when_impossible():
-    # tr(1) = n never vanishes, so no witness can separate {1} from anything
-    cfg = SearchConfig(seed=0, restarts=2, max_iters=100)
-    assert trace_witness_search([parse("1", 1)], parse("x1", 1), 1, cfg) is None
 
 
 def test_float_of_exact_round_trip_values():
