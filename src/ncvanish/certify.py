@@ -94,7 +94,11 @@ class TraceCombination:
 @dataclass(frozen=True)
 class TraceNotMember:
     """Neither 1 nor cyclic_reduce(g) lies in the span of the reduced
-    generators; the theory provides no finite witness for this branch."""
+    generators.  `functionals` holds one linear functional on cyclic words
+    per goal (1, then g), read as word -> coefficient: it vanishes on every
+    reduced generator and is 1 on the reduced goal."""
+
+    functionals: Tuple[NcPoly, NcPoly]
 
 
 @dataclass(frozen=True)
@@ -498,6 +502,18 @@ def _rotation_commutators(p: NcPoly) -> List[Tuple[NcPoly, NcPoly]]:
     return out
 
 
+def _separating_functional(rref: WordRREF, remainder: SparseRow, d: int) -> NcPoly:
+    """Functional on words, as word -> coefficient, that vanishes on every
+    stored row and is 1 on an element whose reduction left `remainder`:
+    e_w minus the pivot rows' w-coefficients, scaled by 1/remainder[w], for
+    a word w of the remainder (never a pivot word)."""
+    w = max(remainder, key=deglex_key)
+    scale = 1 / remainder[w]
+    terms = {pivot: -row[w] * scale for pivot, row in rref.rows.items() if w in row}
+    terms[w] = scale
+    return NcPoly(d, terms)
+
+
 def trace_membership(
     f_list: Sequence[NcPoly], g: NcPoly
 ) -> "TraceCombination | TraceNotMember":
@@ -515,9 +531,11 @@ def trace_membership(
     for f in generators:
         rref.insert(dict(f.cyclic_reduce().terms), {id(f): Fraction(1)})
 
+    functionals = []
     for branch, target in (("one-in-span", NcPoly.one(d)), ("g-in-span", g)):
         remainder, acc = rref.reduce(dict(target.cyclic_reduce().terms), {})
         if remainder:
+            functionals.append(_separating_functional(rref, remainder, d))
             continue
         lambdas = [Fraction(0)] * len(f_list)
         for key, coeff in _combination_from_expr(acc).items():
@@ -528,7 +546,8 @@ def trace_membership(
         commutators = _rotation_commutators(residual)
         self_check(checks.trace_combination, f_list, g, branch, lambdas, commutators)
         return TraceCombination(branch, tuple(lambdas), tuple(commutators))
-    return TraceNotMember()
+    self_check(checks.trace_not_member, f_list, g, functionals)
+    return TraceNotMember(tuple(functionals))
 
 
 # ---------------------------------------------------------------------------

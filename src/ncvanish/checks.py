@@ -135,6 +135,25 @@ def trace_combination(
     _require(_total(parts, target.d) == goal, "combination plus commutators misses the goal")
 
 
+def _pairing(functional: NcPoly, p: NcPoly) -> Fraction:
+    return sum((c * functional.coeff(w) for w, c in p.terms.items()), Fraction(0))
+
+
+def trace_not_member(
+    gens: Sequence[NcPoly], target: NcPoly, functionals: Sequence[NcPoly]
+) -> None:
+    """One linear functional on cyclic words per goal (1, then the target),
+    read as word -> coefficient.  Each vanishes on every cyclically reduced
+    generator and is 1 on its cyclically reduced goal, so neither goal is a
+    combination of the generators plus commutators."""
+    _require(len(functionals) == 2, "need one functional for 1 and one for the target")
+    reduced = [f.cyclic_reduce() for f in gens]
+    for name, goal, phi in zip(("1", "the target"), (NcPoly.one(target.d), target), functionals):
+        for i, r in enumerate(reduced):
+            _require(_pairing(phi, r) == 0, f"functional for {name} is nonzero on generator {i}")
+        _require(_pairing(phi, goal.cyclic_reduce()) == 1, f"functional for {name} is not 1 on it")
+
+
 def span_coefficients(gens: Sequence[NcPoly], target: NcPoly, coefficients: Sequence[Fraction]) -> None:
     """target = sum of coefficients[j] * f_j."""
     _require(len(coefficients) == len(gens), "coefficient count mismatch")

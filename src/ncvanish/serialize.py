@@ -190,6 +190,12 @@ def _trace_combination(problem: dict, cert: dict) -> str:
     return f"branch {cert['branch']}: goal equals the combination plus explicit commutators"
 
 
+def _trace_not_member(problem: dict, cert: dict) -> str:
+    gens, target = _generators(problem)
+    checks.trace_not_member(gens, target, _polys(cert["functionals"], target.d))
+    return "separating functionals vanish on every reduced generator and are 1 on 1 and on g"
+
+
 def _span_coefficients(problem: dict, cert: dict) -> str:
     gens, target = _generators(problem)
     checks.span_coefficients(gens, target, [Fraction(x) for x in cert["coefficients"]])
@@ -376,10 +382,7 @@ _KINDS: Dict[str, _Kind] = {
     "hom_combination": _Kind(certify.HomCombination, "verified", _hom_combination),
     "hom_witness": _Kind(certify.MatrixWitness, "verified", _hom_witness),
     "trace_combination": _Kind(certify.TraceCombination, "verified", _trace_combination),
-    "trace_not_member": _Kind(
-        certify.TraceNotMember, "checked",
-        _metadata("negative outcome; no identity to re-check (engine performed the span test)"),
-    ),
+    "trace_not_member": _Kind(certify.TraceNotMember, "checked", _trace_not_member),
     "span_coefficients": _Kind(certify.SpanCoefficients, "verified", _span_coefficients),
     "span_witness": _Kind(certify.WeakWitness, "verified", _span_witness),
     "span_unknown": _Kind(certify.SpanUnknown, "none", _metadata(_UNKNOWN)),

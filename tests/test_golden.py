@@ -94,7 +94,7 @@ GOLDEN = {
     "member-span-unknown": "97176e1177ed10500238894c55d189cfb5c3c29b29a3b729ea702c53bd48f1bb",  # span_unknown
     "member-span-witness": "0954ffe3b8ed430f1a00ac024ae64bb204d853343526191d069f04346e501703",  # span_witness
     "member-trace": "96b399551f73b9f21f1beab0a0a24bc8e3f87fcfd26e70551ad416600aa4c329",  # trace_combination
-    "member-trace-no": "c9e7f9b658358f01e1e9049d5cf07136d1fbcd7d1278cd4ca17b1cd6c236594c",  # trace_not_member
+    "member-trace-no": "7d8456b47636ee1b5d4c7a1cfeed53f5cc45e8845ec8b227251b0daa5a54a855",  # trace_not_member
     "paper-witnesses": "d698e8afd073e0a3776146935ba29ef3f3d6d3866ec681651d1e2c630e34e44b",  # reference_witnesses
     "pi": "2922ca8ce50866b59e25bf387e65b8dff017a01ffe344a9e49cbd2ffe4349fc9",  # pi_result
     "rankprofile": "f8926ca0615693771f5b4c2f0a0160a6e6a7fc9f84b5cbe7a843e309125d7e57",  # rankprofile

@@ -173,6 +173,23 @@ def test_tampered_trace_combination_rejected(tmp_path):
     tampered_fails(doc, lambda d: d["certificate"]["lambdas"].__setitem__(0, "2"))
 
 
+def test_trace_not_member_functionals_checked(tmp_path):
+    gens = [parse("x1*x2 - x2*x3", 3), parse("x3^2 + 2", 3)]
+    target = parse("x1*x3*x2 + x3", 3)
+    res = certify.trace_membership(gens, target)
+    doc = check(gen_problem(gens, target, 3), res, "trace_not_member", tmp_path)
+    tampered_fails(doc, lambda d: d["certificate"]["functionals"].__setitem__(0, "1"))
+    tampered_fails(doc, lambda d: d["certificate"]["functionals"].__setitem__(1, "2*x1*x3*x2"))
+    # x2*x1 is x1*x2 plus a commutator: a tracial member, so no functional
+    # can separate it, with or without evidence
+    forged = make_document(
+        gen_problem([parse("x1*x2", 2)], parse("x2*x1", 2), 2),
+        {"kind": "trace_not_member", "verification": "checked"},
+    )
+    assert not verify_certificate(forged).ok
+    tampered_fails(forged, lambda d: d["certificate"].__setitem__("functionals", ["1", "x1*x2"]))
+
+
 def test_tampered_assoc_yes_rejected(tmp_path):
     p, q = parse("x1*x2 + 1", 2), parse("x2*x1 + 1", 2)
     res = factorization.stable_assoc(p, q)
