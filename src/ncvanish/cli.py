@@ -500,9 +500,21 @@ _HANDLERS = {
 }
 
 
+def _attach_polynomials(argv: List[str]) -> List[str]:
+    """argparse takes a separate value starting with '-' for an option, so a
+    polynomial such as -3*x1 after -f, -g, -p or -q is attached as -f=-3*x1."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in ("-f", "-g", "-p", "-q") and arg.startswith("-") \
+                and not arg.lstrip("-").isalpha():
+            arg = f"{out.pop()}={arg}"
+        out.append(arg)
+    return out
+
+
 def dispatch(argv: List[str]) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_polynomials(argv))
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_ERROR

@@ -224,9 +224,13 @@ class NcPoly:
     def __pow__(self, exponent: int) -> "NcPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = NcPoly.one(self.d)
-        for _ in range(exponent):
-            result = result * self
+        result, square = NcPoly.one(self.d), self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     # -- trace normal form ---------------------------------------------------
@@ -333,6 +337,15 @@ def format_poly(p: NcPoly) -> str:
 # Whitespace is insignificant.  Juxtaposition is not multiplication: "2x1"
 # and "x1(x2)" are syntax errors.  '[p,q]' expands to p*q - q*p while
 # parsing.
+#
+# Parsed text may come from an untrusted certificate, so every product and
+# power is bounded before it is computed: by its degree, by the product of
+# the factors' term counts (which bounds both its terms and its work), and by
+# the bit length of its coefficients.
+
+MAX_PARSE_DEGREE = 10_000
+MAX_PARSE_TERMS = 10_000
+MAX_PARSE_BITS = 100_000
 
 
 class NcParseError(ValueError):
@@ -404,7 +417,9 @@ class _Parser:
             tok = self._peek()
             if tok is not None and tok[0] == "sym" and tok[1] == "*":
                 self.i += 1
-                result = result * self.parse_factor()
+                factor = self.parse_factor()
+                _bound_product(tok[2], result, factor)
+                result = result * factor
             else:
                 return result
 
@@ -413,7 +428,15 @@ class _Parser:
         tok = self._peek()
         if tok is not None and tok[0] == "sym" and tok[1] == "^":
             self.i += 1
-            exponent, _ = self._expect_nat()
+            exponent, pos = self._expect_nat()
+            if exponent > MAX_PARSE_DEGREE:  # also keeps the bounds below small
+                raise NcParseError(f"exponent exceeds MAX_PARSE_DEGREE = {MAX_PARSE_DEGREE}", pos)
+            _bound(
+                pos,
+                max(atom.degree, 0) * exponent,
+                len(atom.terms) ** min(exponent, 64),
+                _bits(atom) * exponent,
+            )
             return atom ** exponent
         return atom
 
@@ -429,6 +452,7 @@ class _Parser:
             self._expect_sym(",")
             right = self.parse_expr()
             self._expect_sym("]")
+            _bound_product(pos, left, right)
             return commutator(left, right)
         if kind == "sym" and text == "-":
             num, _ = self._expect_nat()
@@ -451,6 +475,34 @@ class _Parser:
                 raise NcParseError("zero denominator", pos)
             return Fraction(numerator, den)
         return Fraction(numerator)
+
+
+def _bits(p: NcPoly) -> int:
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p.terms.values()),
+        default=0,
+    )
+
+
+def _bound(position: int, degree: int, terms: int, bits: int) -> None:
+    """Refuse a product or power whose degree, term-count bound or
+    coefficient bit length would exceed the parse limits."""
+    for what, value, name, limit in (
+        ("degree", degree, "MAX_PARSE_DEGREE", MAX_PARSE_DEGREE),
+        ("term-count bound", terms, "MAX_PARSE_TERMS", MAX_PARSE_TERMS),
+        ("coefficient bit length", bits, "MAX_PARSE_BITS", MAX_PARSE_BITS),
+    ):
+        if value > limit:
+            raise NcParseError(f"{what} exceeds {name} = {limit}", position)
+
+
+def _bound_product(position: int, a: NcPoly, b: NcPoly) -> None:
+    _bound(
+        position,
+        max(a.degree, 0) + max(b.degree, 0),
+        len(a.terms) * len(b.terms),
+        _bits(a) + _bits(b),
+    )
 
 
 def parse(text: str, d: int) -> NcPoly:

@@ -65,6 +65,14 @@ def test_unknown_subcommand_exits_one():
     assert ei.value.code == 1
 
 
+def test_polynomial_argument_may_start_with_minus(tmp_path):
+    # format_poly prints -3*x1, so printed output must be accepted back
+    assert run(["member-left", "-d", "2", "-f", "-3*x1", "-g", "x1"]) == 0
+    doc = load_cert(tmp_path / "member-left.cert.json")
+    assert doc["problem"]["generators"] == ["-3*x1"]
+    assert doc["certificate"]["cofactors"] == ["-1/3"]
+
+
 def test_parse_error_exits_one(tmp_path, capsys):
     rc = run(["member-left", "-d", "2", "-f", "x9", "-g", "x1"])
     assert rc == 1
@@ -120,6 +128,22 @@ def test_verify_cert_round_trip(tmp_path):
     doc["certificate"]["p_mat"][0][0] = "x2"
     (tmp_path / "assoc.cert.json").write_text(json.dumps(doc))
     assert run(["verify-cert", "assoc.cert.json"]) == 1
+
+
+def test_verify_cert_fails_in_one_line_on_bad_documents(tmp_path, capsys):
+    # no certificate at all, and a target whose expansion exceeds the parse limits
+    (tmp_path / "empty.json").write_text(
+        '{"format": "ncvanish-certificate", "version": 1, "problem": {}}'
+    )
+    assert run(["verify-cert", "empty.json"]) == 1
+    assert capsys.readouterr().out.startswith("FAILED")
+    doc = {"format": "ncvanish-certificate", "version": 1,
+           "problem": {"d": 1, "generators": ["x1"], "target": "x1^20000"},
+           "certificate": {"kind": "left_combination", "cofactors": ["x1^19999"]}}
+    (tmp_path / "huge.json").write_text(json.dumps(doc))
+    assert run(["verify-cert", "huge.json"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED") and "MAX_PARSE_DEGREE" in out and out.count("\n") == 1
 
 
 def test_verify_cert_on_garbage_file(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,29 @@ def test_pow():
     assert a ** 3 == a * a * a
     with pytest.raises(ValueError):
         a ** -1
+
+
+def test_parse_large_power_is_fast():
+    started = time.perf_counter()
+    assert parse("x1^4000", 1) == NcPoly.from_word((1,) * 4000, 1)
+    assert time.perf_counter() - started < 0.2
+
+
+@pytest.mark.parametrize(
+    "text, limit",
+    [
+        ("x1^20000", "MAX_PARSE_DEGREE"),
+        ("x1^6000*x1^6000", "MAX_PARSE_DEGREE"),
+        ("(x1+x2)^20", "MAX_PARSE_TERMS"),
+        ("[(x1+x2)^7, (x1+x2)^7]", "MAX_PARSE_TERMS"),
+        ("(2^4000)^4000", "MAX_PARSE_BITS"),
+    ],
+)
+def test_parse_refuses_oversized_products(text, limit):
+    started = time.perf_counter()
+    with pytest.raises(NcParseError, match=limit):
+        parse(text, 2)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_homogeneous_components_sum_back():

@@ -237,6 +237,13 @@ def test_malformed_certificate_reports_crash():
     assert "crash" in res.detail.lower()
 
 
+def test_document_without_certificate_fails_in_one_line():
+    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "problem": {}}
+    res = verify_certificate(doc)
+    assert not res.ok
+    assert "certificate" in res.detail and "\n" not in res.detail
+
+
 def test_wrong_format_marker_rejected():
     doc = make_document({"d": 1}, {"kind": "eval", "value": [["0"]]})
     doc["format"] = "something-else"
