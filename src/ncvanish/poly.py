@@ -412,58 +412,60 @@ class _Parser:
                 return result
 
     def parse_term(self) -> NcPoly:
-        result = self.parse_factor()
+        result, degree, bits = self.parse_factor()
+        terms = len(result.terms)
         while True:
             tok = self._peek()
-            if tok is not None and tok[0] == "sym" and tok[1] == "*":
-                self.i += 1
-                factor = self.parse_factor()
-                _bound_product(tok[2], result, factor)
-                result = result * factor
-            else:
+            if tok is None or tok[0] != "sym" or tok[1] != "*":
                 return result
-
-    def parse_factor(self) -> NcPoly:
-        atom = self.parse_atom()
-        tok = self._peek()
-        if tok is not None and tok[0] == "sym" and tok[1] == "^":
             self.i += 1
-            exponent, pos = self._expect_nat()
-            if exponent > MAX_PARSE_DEGREE:  # also keeps the bounds below small
-                raise NcParseError(f"exponent exceeds MAX_PARSE_DEGREE = {MAX_PARSE_DEGREE}", pos)
-            _bound(
-                pos,
-                max(atom.degree, 0) * exponent,
-                len(atom.terms) ** min(exponent, 64),
-                _bits(atom) * exponent,
-            )
-            return atom ** exponent
-        return atom
+            factor, f_degree, f_bits = self.parse_factor()
+            degree, bits, terms = degree + f_degree, bits + f_bits, terms * len(factor.terms)
+            _bound(tok[2], degree, terms, bits)
+            result = result * factor
 
-    def parse_atom(self) -> NcPoly:
+    def parse_factor(self) -> Tuple[NcPoly, int, int]:
+        """A factor with bounds on its degree and coefficient bit length."""
+        atom, degree, bits = self.parse_atom()
+        tok = self._peek()
+        if tok is None or tok[0] != "sym" or tok[1] != "^":
+            return atom, degree, bits
+        self.i += 1
+        exponent, pos = self._expect_nat()
+        if exponent > MAX_PARSE_DEGREE:  # also keeps the bounds below small
+            raise NcParseError(f"exponent exceeds MAX_PARSE_DEGREE = {MAX_PARSE_DEGREE}", pos)
+        degree, bits = degree * exponent, bits * exponent
+        _bound(pos, degree, len(atom.terms) ** min(exponent, 64), bits)
+        return atom ** exponent, degree, bits
+
+    def parse_atom(self) -> Tuple[NcPoly, int, int]:
         tok = self._next()
         kind, text, pos = tok
         if kind == "sym" and text == "(":
             inner = self.parse_expr()
             self._expect_sym(")")
-            return inner
+            return (inner, *_size(inner))
         if kind == "sym" and text == "[":
             left = self.parse_expr()
             self._expect_sym(",")
             right = self.parse_expr()
             self._expect_sym("]")
-            _bound_product(pos, left, right)
-            return commutator(left, right)
+            (l_degree, l_bits), (r_degree, r_bits) = _size(left), _size(right)
+            degree, bits = l_degree + r_degree, l_bits + r_bits
+            _bound(pos, degree, len(left.terms) * len(right.terms), bits)
+            return commutator(left, right), degree, bits
         if kind == "sym" and text == "-":
             num, _ = self._expect_nat()
-            return NcPoly.constant(-self._rational_tail(num), self.d)
+            c = -self._rational_tail(num)
+            return NcPoly.constant(c, self.d), 0, _bits(c)
         if kind == "num":
-            return NcPoly.constant(self._rational_tail(int(text)), self.d)
+            c = self._rational_tail(int(text))
+            return NcPoly.constant(c, self.d), 0, _bits(c)
         if kind == "var":
             index = int(text[1:])
             if not 1 <= index <= self.d:
                 raise NcParseError(f"variable index {index} out of range 1..{self.d}", pos)
-            return NcPoly.var(index, self.d)
+            return NcPoly.var(index, self.d), 1, 1
         raise NcParseError("expected '(', '[', a number, or a variable", pos)
 
     def _rational_tail(self, numerator: int) -> Fraction:
@@ -477,32 +479,25 @@ class _Parser:
         return Fraction(numerator)
 
 
-def _bits(p: NcPoly) -> int:
-    return max(
-        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p.terms.values()),
-        default=0,
-    )
+def _bits(c: Fraction) -> int:
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
+def _size(p: NcPoly) -> Tuple[int, int]:
+    """Degree (0 for constants) and largest coefficient bit length."""
+    return max(map(len, p.terms), default=0), max(map(_bits, p.terms.values()), default=0)
 
 
 def _bound(position: int, degree: int, terms: int, bits: int) -> None:
-    """Refuse a product or power whose degree, term-count bound or
-    coefficient bit length would exceed the parse limits."""
-    for what, value, name, limit in (
-        ("degree", degree, "MAX_PARSE_DEGREE", MAX_PARSE_DEGREE),
-        ("term-count bound", terms, "MAX_PARSE_TERMS", MAX_PARSE_TERMS),
-        ("coefficient bit length", bits, "MAX_PARSE_BITS", MAX_PARSE_BITS),
-    ):
-        if value > limit:
-            raise NcParseError(f"{what} exceeds {name} = {limit}", position)
-
-
-def _bound_product(position: int, a: NcPoly, b: NcPoly) -> None:
-    _bound(
-        position,
-        max(a.degree, 0) + max(b.degree, 0),
-        len(a.terms) * len(b.terms),
-        _bits(a) + _bits(b),
-    )
+    """Refuse a product or power whose degree, term-count bound (the product
+    of the factors' term counts) or coefficient bit length would exceed the
+    parse limits."""
+    if degree > MAX_PARSE_DEGREE:
+        raise NcParseError(f"degree exceeds MAX_PARSE_DEGREE = {MAX_PARSE_DEGREE}", position)
+    if terms > MAX_PARSE_TERMS:
+        raise NcParseError(f"term-count bound exceeds MAX_PARSE_TERMS = {MAX_PARSE_TERMS}", position)
+    if bits > MAX_PARSE_BITS:
+        raise NcParseError(f"coefficient bit length exceeds MAX_PARSE_BITS = {MAX_PARSE_BITS}", position)
 
 
 def parse(text: str, d: int) -> NcPoly:

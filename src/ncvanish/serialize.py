@@ -84,12 +84,10 @@ def _json(value):
     if isinstance(value, Fraction):
         return str(value)
     if hasattr(value, "_asdict") or dataclasses.is_dataclass(value):
-        fields = value._asdict() if hasattr(value, "_asdict") else {
-            f.name: getattr(value, f.name) for f in dataclasses.fields(value)
-        }
+        fields = value._asdict() if hasattr(value, "_asdict") else vars(value)
+        out = {name: _json(v) for name, v in fields.items()}
         kind = _KIND_OF_TYPE.get(type(value))
-        extra = {} if kind is None else tagged(kind)
-        return {**{name: _json(v) for name, v in fields.items()}, **extra}
+        return out if kind is None else tagged(kind, **out)
     if isinstance(value, (list, tuple)):
         return [_json(v) for v in value]
     return value
