@@ -341,7 +341,8 @@ def format_poly(p: NcPoly) -> str:
 # Parsed text may come from an untrusted certificate, so every product and
 # power is bounded before it is computed: by its degree, by the product of
 # the factors' term counts (which bounds both its terms and its work), and by
-# the bit length of its coefficients.
+# the bit length of its coefficients.  The term-count bounds above 1 of one
+# text share the same limit.
 
 MAX_PARSE_DEGREE = 10_000
 MAX_PARSE_TERMS = 10_000
@@ -378,6 +379,7 @@ class _Parser:
         self.d = d
         self.i = 0
         self.end = length
+        self.work = 0
 
     def _peek(self) -> Optional[Tuple[str, str, int]]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -412,17 +414,28 @@ class _Parser:
                 return result
 
     def parse_term(self) -> NcPoly:
-        result, degree, bits = self.parse_factor()
-        terms = len(result.terms)
+        factor, degree, bits = self.parse_factor()
+        factors, terms = [factor], len(factor.terms)
         while True:
             tok = self._peek()
             if tok is None or tok[0] != "sym" or tok[1] != "*":
-                return result
+                break
             self.i += 1
             factor, f_degree, f_bits = self.parse_factor()
             degree, bits, terms = degree + f_degree, bits + f_bits, terms * len(factor.terms)
-            _bound(tok[2], degree, terms, bits)
+            self._bound(tok[2], degree, terms, bits)
+            factors.append(factor)
+        if terms == 1 and len(factors) > 1:  # a monomial, the only product format_poly writes
+            word: Word = ()
+            coeff = Fraction(1)
+            for factor in factors:
+                ((w, c),) = factor.terms.items()
+                word, coeff = word + w, coeff * c
+            return NcPoly(self.d, {word: coeff})
+        result = factors[0]
+        for factor in factors[1:]:
             result = result * factor
+        return result
 
     def parse_factor(self) -> Tuple[NcPoly, int, int]:
         """A factor with bounds on its degree and coefficient bit length."""
@@ -435,7 +448,7 @@ class _Parser:
         if exponent > MAX_PARSE_DEGREE:  # also keeps the bounds below small
             raise NcParseError(f"exponent exceeds MAX_PARSE_DEGREE = {MAX_PARSE_DEGREE}", pos)
         degree, bits = degree * exponent, bits * exponent
-        _bound(pos, degree, len(atom.terms) ** min(exponent, 64), bits)
+        self._bound(pos, degree, len(atom.terms) ** min(exponent, 64), bits)
         return atom ** exponent, degree, bits
 
     def parse_atom(self) -> Tuple[NcPoly, int, int]:
@@ -452,7 +465,7 @@ class _Parser:
             self._expect_sym("]")
             (l_degree, l_bits), (r_degree, r_bits) = _size(left), _size(right)
             degree, bits = l_degree + r_degree, l_bits + r_bits
-            _bound(pos, degree, len(left.terms) * len(right.terms), bits)
+            self._bound(pos, degree, len(left.terms) * len(right.terms), bits)
             return commutator(left, right), degree, bits
         if kind == "sym" and text == "-":
             num, _ = self._expect_nat()
@@ -467,6 +480,21 @@ class _Parser:
                 raise NcParseError(f"variable index {index} out of range 1..{self.d}", pos)
             return NcPoly.var(index, self.d), 1, 1
         raise NcParseError("expected '(', '[', a number, or a variable", pos)
+
+    def _bound(self, position: int, degree: int, terms: int, bits: int) -> None:
+        """Refuse a product or power whose degree, term-count bound (the
+        product of the factors' term counts) or coefficient bit length would
+        exceed the parse limits.  Term-count bounds above 1 also add up over
+        the whole text, so many bounded products cannot add up to unbounded
+        work."""
+        if terms > 1:
+            self.work += terms
+        if degree > MAX_PARSE_DEGREE:
+            raise NcParseError(f"degree exceeds MAX_PARSE_DEGREE = {MAX_PARSE_DEGREE}", position)
+        if max(terms, self.work) > MAX_PARSE_TERMS:
+            raise NcParseError(f"term-count bound exceeds MAX_PARSE_TERMS = {MAX_PARSE_TERMS}", position)
+        if bits > MAX_PARSE_BITS:
+            raise NcParseError(f"coefficient bit length exceeds MAX_PARSE_BITS = {MAX_PARSE_BITS}", position)
 
     def _rational_tail(self, numerator: int) -> Fraction:
         tok = self._peek()
@@ -486,18 +514,6 @@ def _bits(c: Fraction) -> int:
 def _size(p: NcPoly) -> Tuple[int, int]:
     """Degree (0 for constants) and largest coefficient bit length."""
     return max(map(len, p.terms), default=0), max(map(_bits, p.terms.values()), default=0)
-
-
-def _bound(position: int, degree: int, terms: int, bits: int) -> None:
-    """Refuse a product or power whose degree, term-count bound (the product
-    of the factors' term counts) or coefficient bit length would exceed the
-    parse limits."""
-    if degree > MAX_PARSE_DEGREE:
-        raise NcParseError(f"degree exceeds MAX_PARSE_DEGREE = {MAX_PARSE_DEGREE}", position)
-    if terms > MAX_PARSE_TERMS:
-        raise NcParseError(f"term-count bound exceeds MAX_PARSE_TERMS = {MAX_PARSE_TERMS}", position)
-    if bits > MAX_PARSE_BITS:
-        raise NcParseError(f"coefficient bit length exceeds MAX_PARSE_BITS = {MAX_PARSE_BITS}", position)
 
 
 def parse(text: str, d: int) -> NcPoly:

@@ -128,6 +128,7 @@ def test_parse_large_power_is_fast():
         ("x1^6000*x1^6000", "MAX_PARSE_DEGREE"),
         ("(x1+x2)^20", "MAX_PARSE_TERMS"),
         ("[(x1+x2)^7, (x1+x2)^7]", "MAX_PARSE_TERMS"),
+        (" + ".join(["(x1+x2)^12"] * 3), "MAX_PARSE_TERMS"),
         ("(2^4000)^4000", "MAX_PARSE_BITS"),
     ],
 )
