@@ -324,10 +324,15 @@ def factor(f: NcPoly, max_degree: int = 10) -> List[Factorization]:
         search.complete_factorizations(monic),
         key=lambda factors: tuple(p.sort_key() for p in factors),
     )
-    out = [
-        Factorization(unit, factors, tuple(search.evidence(p) for p in factors))
-        for factors in tuples
-    ]
+    out = []
+    for factors in tuples:
+        out.append(
+            Factorization(
+                unit=unit,
+                factors=factors,
+                evidence=tuple(search.evidence(p) for p in factors),
+            )
+        )
     self_check(
         checks.factorization, f, [(fz.unit, fz.factors, [e.degree for e in fz.evidence]) for fz in out]
     )
