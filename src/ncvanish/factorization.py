@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import checks
-from .checks import Mat2, diag2, mat2_mul, self_check
+from .checks import CheckFailed, Mat2, diag2, mat2_mul, self_check
 from .evaluate import CPoly, MatTuple, eval_poly, random_tuple, structured_tuples
 from .linalg import QVector, rank_det_kernel, rational_roots
 from .poly import NcPoly, Word, deglex_key
@@ -521,22 +521,22 @@ def stable_assoc(
 def _separating_point(
     p: NcPoly, q: NcPoly, n_max: int, samples_per_size: int, seed: int
 ) -> Optional[AssocNo]:
-    """Directional zero of p missed by q, or vice versa.  Checking every
-    kernel basis vector is enough: q's value is nonzero on some kernel vector
-    iff it is nonzero on a basis vector."""
+    """Directional zero of p missed by q, or vice versa: the first kernel
+    basis vector that passes the witness check.  Checking every kernel basis
+    vector is enough: q's value is nonzero on some kernel vector iff it is
+    nonzero on a basis vector."""
     d = p.d
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
         candidates = structured_tuples(d, n)
         candidates.extend(random_tuple(rng, n, d) for _ in range(samples_per_size))
         for point in candidates:
-            p_val = eval_poly(p, point)
-            q_val = eval_poly(q, point)
-            for vanishing, first, second in (("p", p_val, q_val), ("q", q_val, p_val)):
-                for v in rank_det_kernel(first).kernel:
-                    if not (second @ v).is_zero():
-                        values = self_check(checks.assoc_no, p, q, point, v, vanishing)
-                        return AssocNo(point, v, vanishing, *values)
+            for vanishing, first in (("p", p), ("q", q)):
+                for v in rank_det_kernel(eval_poly(first, point)).kernel:
+                    try:
+                        return AssocNo(point, v, vanishing, *checks.assoc_no(p, q, point, v, vanishing))
+                    except CheckFailed:
+                        continue
     return None
 
 
