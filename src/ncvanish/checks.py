@@ -6,7 +6,8 @@ claim that does not hold.  Witness checkers return the values a document
 stores at the witness: an engine stores what its check computed, and
 `serialize.verify_certificate` compares the stored values with the values
 its own run of the checker returns.  Engines run the checker of every
-certificate they build through `self_check`.
+certificate they build, through `self_check`, or as the test that accepts
+a search candidate (eigenvector and separating-point witnesses).
 
 Checkers use polynomial arithmetic, exact linear algebra and evaluation
 only; nothing here imports an engine.  Kinds that carry only search metadata
