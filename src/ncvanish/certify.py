@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import checks
-from .checks import CheckFailed, InternalInconsistencyError, self_check
+from .checks import InternalInconsistencyError, self_check
 from .evaluate import (
     MatTuple,
     ResourceCapError,
@@ -662,8 +662,8 @@ def in_univariate_subalgebra(
 def _eigen_witness_search(
     g: NcPoly, f: NcPoly, seed: int, n_max: int, attempts_per_size: int
 ) -> Optional[EigenWitness]:
-    """Best-effort: rational eigenvalues only.  The first kernel vector that
-    passes the witness check is returned."""
+    """Best-effort: rational eigenvalues only.  The first kernel vector on
+    which g's value leaves the line of the vector is returned."""
     d = g.d
     rng = random.Random(seed)
     for n in range(2, n_max + 1):
@@ -673,8 +673,7 @@ def _eigen_witness_search(
             for lam in rational_roots(_char_poly(fx)):
                 shifted = fx - lam * QMatrix.identity(n)
                 for v in rank_det_kernel(shifted).kernel:
-                    try:
-                        return EigenWitness(point, v, lam, checks.eigen_witness(f, g, point, v, lam))
-                    except CheckFailed:
-                        continue
+                    g_value = checks.try_candidate(checks.eigen_witness, f, g, point, v, lam)
+                    if g_value is not None:
+                        return EigenWitness(point, v, lam, g_value)
     return None

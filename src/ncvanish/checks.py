@@ -28,6 +28,7 @@ from .evaluate import (
     eval_poly_vector,
     pi_test,
     rank_profile,
+    reference_poly,
     weyl_pair,
 )
 from .linalg import QMatrix, QVector, rank
@@ -38,6 +39,10 @@ Mat2 = Tuple[Tuple[NcPoly, NcPoly], Tuple[NcPoly, NcPoly]]
 
 class CheckFailed(ValueError):
     """A certificate does not establish its claim."""
+
+
+class NotSeparated(CheckFailed):
+    """A witness candidate that is valid but separates nothing."""
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -51,6 +56,18 @@ def self_check(checker: Callable, *args):
         return checker(*args)
     except CheckFailed as exc:
         raise InternalInconsistencyError(f"constructed certificate failed its check: {exc}") from exc
+
+
+def try_candidate(checker: Callable, *args):
+    """Run `checker` on a search candidate.  None when the candidate
+    separates nothing, which only means trying the next one; any other
+    failure can only come from a bug."""
+    try:
+        return checker(*args)
+    except NotSeparated:
+        return None
+    except CheckFailed as exc:
+        raise InternalInconsistencyError(f"search candidate failed its check: {exc}") from exc
 
 
 def _require(holds: bool, message: str) -> None:
@@ -202,7 +219,8 @@ def eigen_witness(
     parallel = all(
         vector[i] * g_value[j] == vector[j] * g_value[i] for i in range(n) for j in range(n)
     )
-    _require(not parallel, "target value is parallel to the vector, witness shows nothing")
+    if parallel:
+        raise NotSeparated("target value is parallel to the vector, witness shows nothing")
     return g_value
 
 
@@ -265,7 +283,8 @@ def assoc_no(
     q_value = eval_poly_vector(q, point, vector)
     killed, alive = (p_value, q_value) if vanishing == "p" else (q_value, p_value)
     _require(killed.is_zero(), f"claimed vanishing polynomial {vanishing} does not kill the vector")
-    _require(not alive.is_zero(), "both polynomials kill the vector; nothing is separated")
+    if alive.is_zero():
+        raise NotSeparated("both polynomials kill the vector; nothing is separated")
     return p_value, q_value
 
 
@@ -331,8 +350,9 @@ def lowrank_exact(f: NcPoly, point: MatTuple, stated: int, target_rank: int) -> 
 
 
 def reference_witnesses(f: NcPoly, points: Sequence[MatTuple]) -> Dict[int, int]:
-    """f has rank 1 at every point and f - 1 is an identity on 2x2
-    matrices; returns the rank per point size."""
+    """f is the reference polynomial, has rank 1 at every point, and f - 1
+    is an identity on 2x2 matrices; returns the rank per point size."""
+    _require(f == reference_poly(), "polynomial is not the reference polynomial")
     ranks: Dict[int, int] = {}
     for point in points:
         ranks[point.n] = rank(eval_poly(f, point))

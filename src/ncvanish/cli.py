@@ -500,13 +500,18 @@ _HANDLERS = {
 }
 
 
+_POLYNOMIAL_STARTS = set("0123456789x([")
+
+
 def _attach_polynomials(argv: List[str]) -> List[str]:
     """argparse takes a separate value starting with '-' for an option, so a
-    polynomial such as -3*x1 after -f, -g, -p or -q is attached as -f=-3*x1."""
+    polynomial such as -3*x1 after -f, -g, -p or -q is attached as -f=-3*x1.
+    Only a '-' followed by what can start a polynomial is attached, so an
+    option given where the value is missing (-f --n-max) stays an option."""
     out: List[str] = []
     for arg in argv:
         if out and out[-1] in ("-f", "-g", "-p", "-q") and arg.startswith("-") \
-                and not arg.lstrip("-").isalpha():
+                and arg[1:2] in _POLYNOMIAL_STARTS:
             arg = f"{out.pop()}={arg}"
         out.append(arg)
     return out

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import QMatrix, QVector, rank, rank_det_kernel
-from .poly import NcPoly, Word
+from .poly import NcPoly, Word, commutator
 
 MAX_FACTORIAL_DEGREE = 8
 
@@ -177,6 +177,13 @@ def weyl_pair(n: int) -> MatTuple:
     x = [[Fraction(1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
     y = [[Fraction(i if j == i - 1 else 0) for j in range(n)] for i in range(n)]
     return MatTuple([QMatrix(x), QMatrix(y)])
+
+
+def reference_poly() -> NcPoly:
+    """1 - [x1, [x1,x2]^2], the polynomial of the published low-rank witnesses."""
+    x1, x2 = NcPoly.var(1, 2), NcPoly.var(2, 2)
+    inner = commutator(x1, x2)
+    return NcPoly.one(2) - commutator(x1, inner * inner)
 
 
 def structured_tuples(d: int, n: int) -> List[MatTuple]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import checks
-from .checks import CheckFailed, Mat2, diag2, mat2_mul, self_check
+from .checks import Mat2, diag2, mat2_mul, self_check
 from .evaluate import CPoly, MatTuple, eval_poly, random_tuple, structured_tuples
 from .linalg import QVector, rank_det_kernel, rational_roots
 from .poly import NcPoly, Word, deglex_key
@@ -522,9 +522,9 @@ def _separating_point(
     p: NcPoly, q: NcPoly, n_max: int, samples_per_size: int, seed: int
 ) -> Optional[AssocNo]:
     """Directional zero of p missed by q, or vice versa: the first kernel
-    basis vector that passes the witness check.  Checking every kernel basis
-    vector is enough: q's value is nonzero on some kernel vector iff it is
-    nonzero on a basis vector."""
+    basis vector that the other polynomial does not kill.  Checking every
+    kernel basis vector is enough: q's value is nonzero on some kernel
+    vector iff it is nonzero on a basis vector."""
     d = p.d
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
@@ -533,10 +533,9 @@ def _separating_point(
         for point in candidates:
             for vanishing, first in (("p", p), ("q", q)):
                 for v in rank_det_kernel(eval_poly(first, point)).kernel:
-                    try:
-                        return AssocNo(point, v, vanishing, *checks.assoc_no(p, q, point, v, vanishing))
-                    except CheckFailed:
-                        continue
+                    values = checks.try_candidate(checks.assoc_no, p, q, point, v, vanishing)
+                    if values is not None:
+                        return AssocNo(point, v, vanishing, *values)
     return None
 
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import checks
 from .checks import self_check
-from .evaluate import MatTuple, eval_poly, rank_profile  # noqa: F401  (rank_profile re-exported)
+from .evaluate import MatTuple, eval_poly, rank_profile, reference_poly  # noqa: F401  (re-exported)
 from .linalg import QMatrix, QVector, rank, rational_reconstruct, solve_linear
-from .poly import NcPoly, commutator
+from .poly import NcPoly
 
 
 class FMatTuple:
@@ -412,12 +412,6 @@ _Y4 = [
     ["1/3", "1/5", "0", "3/10"],
     ["0", "0", "5/2", "2"],
 ]
-
-
-def reference_poly() -> NcPoly:
-    x1, x2 = NcPoly.var(1, 2), NcPoly.var(2, 2)
-    inner = commutator(x1, x2)
-    return NcPoly.one(2) - commutator(x1, inner * inner)
 
 
 def reference_witnesses() -> List[MatTuple]:

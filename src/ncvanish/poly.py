@@ -414,28 +414,17 @@ class _Parser:
                 return result
 
     def parse_term(self) -> NcPoly:
-        factor, degree, bits = self.parse_factor()
-        factors, terms = [factor], len(factor.terms)
+        result, degree, bits = self.parse_factor()
+        terms = len(result.terms)
         while True:
             tok = self._peek()
             if tok is None or tok[0] != "sym" or tok[1] != "*":
-                break
+                return result
             self.i += 1
             factor, f_degree, f_bits = self.parse_factor()
             degree, bits, terms = degree + f_degree, bits + f_bits, terms * len(factor.terms)
             self._bound(tok[2], degree, terms, bits)
-            factors.append(factor)
-        if terms == 1 and len(factors) > 1:  # a monomial, the only product format_poly writes
-            word: Word = ()
-            coeff = Fraction(1)
-            for factor in factors:
-                ((w, c),) = factor.terms.items()
-                word, coeff = word + w, coeff * c
-            return NcPoly(self.d, {word: coeff})
-        result = factors[0]
-        for factor in factors[1:]:
             result = result * factor
-        return result
 
     def parse_factor(self) -> Tuple[NcPoly, int, int]:
         """A factor with bounds on its degree and coefficient bit length."""

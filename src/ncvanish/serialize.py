@@ -29,10 +29,6 @@ FORMAT_NAME = "ncvanish-certificate"
 FORMAT_VERSION = 1
 
 
-def _vec_of(data: Sequence[str]) -> QVector:
-    return QVector([Fraction(e) for e in data])
-
-
 def _polys(data: Sequence[str], d: int) -> List[NcPoly]:
     return [parse(s, d) for s in data]
 
@@ -143,8 +139,22 @@ def verify_certificate(doc: dict) -> VerifyResult:
 
 
 def _same(stored, computed, what: str) -> None:
-    if stored != _json(computed):
+    expected = _json(computed)
+    if stored != expected and _numbers(stored) != _numbers(expected):
         raise CheckFailed(f"stored {what} disagree with re-evaluation")
+
+
+def _numbers(value):
+    """JSON value with each numeric string read as a Fraction, so equal
+    values written differently ("2/4", "0.5", 0) compare equal."""
+    if isinstance(value, list):
+        return [_numbers(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _numbers(v) for k, v in value.items()}
+    try:
+        return Fraction(value) if isinstance(value, str) else value
+    except (ValueError, ZeroDivisionError):
+        return value
 
 
 def _generators(problem: dict):
@@ -160,7 +170,7 @@ def _left_combination(problem: dict, cert: dict) -> str:
 
 def _left_witness(problem: dict, cert: dict) -> str:
     gens, target = _generators(problem)
-    point, vector = MatTuple.from_json(cert["point"]), _vec_of(cert["vector"])
+    point, vector = MatTuple.from_json(cert["point"]), QVector(cert["vector"])
     values = checks.left_witness(gens, target, point, vector)
     _same([cert["f_values"], cert["g_value"]], values, "generator and target values")
     return "directional zero of the generators, nonzero for the target"
@@ -202,9 +212,9 @@ def _span_coefficients(problem: dict, cert: dict) -> str:
 
 def _span_witness(problem: dict, cert: dict) -> str:
     gens, target = _generators(problem)
-    point, right = MatTuple.from_json(cert["point"]), _vec_of(cert["right"])
+    point, right = MatTuple.from_json(cert["point"]), QVector(cert["right"])
     values = checks.weak_pairings(
-        _vec_of(cert["left"]),
+        QVector(cert["left"]),
         [eval_poly_vector(f, point, right) for f in gens],
         eval_poly_vector(target, point, right),
     )
@@ -226,7 +236,7 @@ def _composition(problem: dict, cert: dict) -> str:
 def _composition_witness(problem: dict, cert: dict) -> str:
     inner, target = _composition_parts(problem)
     g_value = checks.eigen_witness(
-        inner, target, MatTuple.from_json(cert["point"]), _vec_of(cert["vector"]),
+        inner, target, MatTuple.from_json(cert["point"]), QVector(cert["vector"]),
         Fraction(cert["eigenvalue"]),
     )
     _same(cert["g_value"], g_value, "target values")
@@ -270,7 +280,7 @@ def _assoc_yes(problem: dict, cert: dict) -> str:
 
 
 def _assoc_witness(cert: dict):
-    return MatTuple.from_json(cert["point"]), _vec_of(cert["vector"]), cert["vanishing"]
+    return MatTuple.from_json(cert["point"]), QVector(cert["vector"]), cert["vanishing"]
 
 
 def _assoc_no(problem: dict, cert: dict) -> str:
@@ -331,8 +341,8 @@ def _pi_result(problem: dict, cert: dict) -> str:
 
 def _classification(problem: dict, cert: dict) -> str:
     gens, target = _generators(problem)
-    u = _vec_of(problem["left"]) if problem.get("left") else None
-    v = _vec_of(problem["right"]) if problem.get("right") else None
+    u = QVector(problem["left"]) if problem.get("left") else None
+    v = QVector(problem["right"]) if problem.get("right") else None
     point = MatTuple.from_json(problem["point"])
     checks.classification(gens, target, point, u, v, cert["memberships"])
     return "membership table re-derived from exact evaluation"

@@ -65,12 +65,17 @@ def test_unknown_subcommand_exits_one():
     assert ei.value.code == 1
 
 
-def test_polynomial_argument_may_start_with_minus(tmp_path):
+def test_polynomial_argument_may_start_with_minus(tmp_path, capsys):
     # format_poly prints -3*x1, so printed output must be accepted back
     assert run(["member-left", "-d", "2", "-f", "-3*x1", "-g", "x1"]) == 0
     doc = load_cert(tmp_path / "member-left.cert.json")
     assert doc["problem"]["generators"] == ["-3*x1"]
     assert doc["certificate"]["cofactors"] == ["-1/3"]
+    # an option where the value belongs is a usage error, not a polynomial
+    with pytest.raises(SystemExit) as exc:
+        run(["assoc", "--seed", "1", "-d", "2", "-p", "x1", "-q", "--n-max", "3"])
+    assert exc.value.code == 1
+    assert "argument -q: expected one argument" in capsys.readouterr().err
 
 
 def test_parse_error_exits_one(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import copy
 import json
+from fractions import Fraction
 
 from ncvanish import certify, factorization, lowrank
 from ncvanish.evaluate import MatTuple, eval_poly, pi_test, standard_poly, weyl_pair
+from ncvanish.linalg import QMatrix
 from ncvanish.poly import NcPoly, commutator, format_poly, parse
 from ncvanish.serialize import (
     FORMAT_NAME,
@@ -211,6 +213,22 @@ def test_tampered_witness_rejected(tmp_path):
     tampered_fails(doc, zero_vector)
 
 
+def test_stored_values_compared_as_numbers(tmp_path):
+    gens = [parse("x1*x2 + 1", 2)]
+    target = parse("x1*x2*x1 + x1", 2)
+    res = certify.left_ideal_membership(gens, target)
+    doc = check(gen_problem(gens, target, 2), res, "left_witness", tmp_path)
+
+    def rewrite(entry):  # the same number, not in str(Fraction) form
+        value = Fraction(entry)
+        return 0 if value == 0 else f"{2 * value.numerator}/{2 * value.denominator}"
+
+    doc["certificate"]["g_value"] = [rewrite(e) for e in doc["certificate"]["g_value"]]
+    assert 0 in doc["certificate"]["g_value"]
+    assert verify_certificate(doc).ok
+    tampered_fails(doc, lambda d: d["certificate"]["g_value"].__setitem__(0, "x1"))
+
+
 def test_tampered_factorization_rejected(tmp_path):
     f = parse("x1*x2*x1 + x1", 2)
     opts = factorization.factor(f)
@@ -322,3 +340,28 @@ def test_rankprofile_certificate_verifies(tmp_path):
     doc = roundtrip(make_document(problem, cert), tmp_path)
     assert verify_certificate(doc).ok
     tampered_fails(doc, lambda d: d["certificate"]["table"].__setitem__("2", 0))
+
+
+def test_reference_witnesses_tied_to_reference_polynomial(tmp_path):
+    points = lowrank.reference_witnesses()
+    problem = {"polynomial": format_poly(lowrank.reference_poly())}
+    cert = {
+        "kind": "reference_witnesses",
+        "points": [p.to_json() for p in points],
+        "ranks": {str(p.n): 1 for p in points},
+        "identity_on_2x2": True,
+        "verification": "verified",
+    }
+    doc = roundtrip(make_document(problem, cert), tmp_path)
+    assert verify_certificate(doc).ok
+    # 1 has rank 1 at any 1x1 point and 1 - 1 is an identity, but 1 is not
+    # the reference polynomial
+    one_by_one = MatTuple([QMatrix([[0]]), QMatrix([[0]])])
+    forged = make_document(
+        {"polynomial": "1"},
+        {"kind": "reference_witnesses", "points": [one_by_one.to_json()],
+         "ranks": {"1": 1}, "identity_on_2x2": True, "verification": "verified"},
+    )
+    res = verify_certificate(forged)
+    assert not res.ok and "reference polynomial" in res.detail
+    tampered_fails(doc, lambda d: d["problem"].__setitem__("polynomial", "1"))
