@@ -57,7 +57,6 @@ from .certify import (
     MatrixWitness,
     NonHomogeneousGeneratorError,
     SpanCoefficients,
-    SpanUnknown,
     TraceCombination,
     TraceNotMember,
     WeakWitness,

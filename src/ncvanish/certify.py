@@ -9,11 +9,11 @@ Five problems are covered, all over the free algebra on d variables:
   composition       g in the unital subalgebra generated by one f
 
 Every positive answer is a Combination that multiplies out to the target
-exactly; every negative answer (where one exists) is a Witness whose defining
-equalities and inequalities hold in exact rational arithmetic.  Both pass
-the checker of their kind (`checks`) before being returned; a failure raises
-InternalInconsistencyError because it can only come from a bug, never from
-the input.
+exactly; every negative answer is a Witness or a separating functional
+(`_separating_functional`) whose defining equalities and inequalities hold
+in exact rational arithmetic.  Both pass the checker of their kind
+(`checks`) before being returned; a failure raises InternalInconsistencyError
+because it can only come from a bug, never from the input.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from .evaluate import (
     eval_poly,
     eval_poly_vector,
     random_tuple,
-    random_vector,
 )
-from .linalg import QMatrix, QVector, rank_det_kernel, rational_roots, solve_span
+from .linalg import QMatrix, QVector, rank_det_kernel, rational_roots
 from .poly import NcPoly, Word, deglex_key, words_of_length, words_up_to
 
 
@@ -118,12 +117,6 @@ class WeakWitness:
 
 
 @dataclass(frozen=True)
-class SpanUnknown:
-    sizes_tried: int
-    attempts_per_size: int
-
-
-@dataclass(frozen=True)
 class CompositionCoefficients:
     """g = sum of coefficients[i] * f**i."""
 
@@ -142,6 +135,10 @@ class EigenWitness:
 
 @dataclass(frozen=True)
 class CompositionNotMember:
+    """`functional` (word -> coefficient) vanishes on f^0..f^m and is 1 on
+    g; `witness` is there when a seeded eigenvector search found one."""
+
+    functional: NcPoly
     witness: Optional[EigenWitness]
 
 
@@ -326,20 +323,20 @@ def _left_multiples_rref(
 
 
 def _shift_matrices(
-    rref: WordRREF, d: int, delta: int
+    rref: WordRREF, d: int, basis_words: Sequence[Word]
 ) -> Tuple[MatTuple, QVector, Dict[Word, int]]:
-    """Left-multiplication operators on the span of non-pivot words of degree
-    <= delta: each letter times a basis word is reduced by the store and its
-    coordinates above degree delta are dropped.  The left engine's store
-    reaches degree delta+1; the two-sided engine's stops at delta, where a
-    graded quotient needs no reduction above it.  The unit word must not be
-    a pivot (the target, not reducing to zero, guarantees it)."""
-    basis_words = [w for w in words_up_to(d, delta) if w not in rref]
-    if () in rref:
+    """Left-multiplication operators on the span of `basis_words`: each
+    letter times a basis word is reduced by the store and its coordinates
+    outside the basis are dropped.  The ideal engines pass the non-pivot
+    words of degree <= delta (the left store reaches degree delta+1; the
+    two-sided store stops at delta, where a graded quotient needs no
+    reduction above it); the span engine passes suffix-closed words and an
+    empty store.  The unit word must be a basis word."""
+    index = {w: k for k, w in enumerate(basis_words)}
+    if () not in index:
         raise InternalInconsistencyError(
             "unit word reduced to zero although the target did not"
         )
-    index = {w: k for k, w in enumerate(basis_words)}
     m = len(basis_words)
     columns: List[List[List[Fraction]]] = [
         [[Fraction(0)] * m for _ in range(m)] for _ in range(d)
@@ -349,7 +346,7 @@ def _shift_matrices(
             extended: Word = (i + 1,) + w
             reduced, _ = rref.reduce({extended: Fraction(1)}, {})
             for u, c in reduced.items():
-                if len(u) <= delta:
+                if u in index:
                     columns[i][index[u]][k] = c
     point = MatTuple([QMatrix(columns[i]) for i in range(d)])
     return point, QVector.unit(m, index[()]), index
@@ -390,7 +387,8 @@ def left_ideal_membership(
         self_check(checks.left_combination, f_list, g, cofactors)
         return LeftCombination(tuple(cofactors))
 
-    point, vector, _ = _shift_matrices(rref, d, delta)
+    basis = [w for w in words_up_to(d, delta) if w not in rref]
+    point, vector, _ = _shift_matrices(rref, d, basis)
     f_values, g_value = self_check(checks.left_witness, f_list, g, point, vector)
     return DirectionalWitness(point, vector, f_values, g_value)
 
@@ -466,7 +464,8 @@ def hom_ideal_membership(
         raise ResourceCapError(
             f"witness dimension bound {word_count} exceeds cap {max_dimension}"
         )
-    point, _, _ = _shift_matrices(rref, d, delta)
+    basis = [w for w in words_up_to(d, delta) if w not in rref]
+    point, _, _ = _shift_matrices(rref, d, basis)
     f_values, g_value = self_check(checks.hom_witness, f_list, g, point)
     return MatrixWitness(point, f_values, g_value)
 
@@ -556,15 +555,13 @@ def trace_membership(
 
 
 def span_membership(
-    f_list: Sequence[NcPoly],
-    g: NcPoly,
-    n_max: int = 4,
-    seed: int = 0,
-    attempts_per_size: int = 50,
-) -> "SpanCoefficients | WeakWitness | SpanUnknown":
-    """Coefficient solve first; on failure, a seeded search for a weak-zero
-    witness (X, u, v).  A size cap ends in Unknown: a witness always exists
-    but no bound on its size is available."""
+    f_list: Sequence[NcPoly], g: NcPoly, seed: Optional[int] = None
+) -> "SpanCoefficients | WeakWitness":
+    """Coefficient solve; a nonzero remainder gives the separating functional
+    phi (zero on every f_j, 1 on g) as a weak witness: on the suffix closure
+    S of its support, X_i maps e_s to e_{is} (0 when is is not in S),
+    v = e_() and u = phi, so u^t p(X) v = phi(p) for every p.  `seed` has
+    no effect; it is accepted for callers that still pass one."""
     for f in f_list:
         if f.d != g.d:
             raise ValueError("generators and target must share the variable count")
@@ -582,20 +579,13 @@ def span_membership(
         self_check(checks.span_coefficients, f_list, g, coeffs)
         return SpanCoefficients(tuple(coeffs))
 
-    rng = random.Random(seed)
-    for n in range(1, n_max + 1):
-        for _ in range(attempts_per_size):
-            point = random_tuple(rng, n, d)
-            v = random_vector(rng, n)
-            f_vectors = [eval_poly_vector(f, point, v) for f in f_list]
-            g_vector = eval_poly_vector(g, point, v)
-            result = solve_span(f_vectors, g_vector)
-            if result.in_span:
-                continue
-            u = result.functional
-            f_scalars, g_scalar = self_check(checks.weak_pairings, u, f_vectors, g_vector)
-            return WeakWitness(point, u, v, f_scalars, g_scalar)
-    return SpanUnknown(sizes_tried=n_max, attempts_per_size=attempts_per_size)
+    phi = _separating_functional(rref, remainder, d)
+    suffixes = sorted({w[k:] for w in phi.terms for k in range(len(w) + 1)}, key=deglex_key)
+    point, right, _ = _shift_matrices(WordRREF(), d, suffixes)
+    left = QVector([phi.coeff(w) for w in suffixes])
+    values = [eval_poly_vector(p, point, right) for p in (*f_list, g)]
+    f_values, g_value = self_check(checks.weak_pairings, left, values[:-1], values[-1])
+    return WeakWitness(point, left, right, f_values, g_value)
 
 
 # ---------------------------------------------------------------------------
@@ -627,36 +617,33 @@ def in_univariate_subalgebra(
     """Decide g = c_0 + c_1 f + ... + c_m f^m.
 
     Powers of f have strictly increasing degrees (leading words multiply),
-    so the solve against {1, f, .., f^m} with m = deg g // deg f is complete.
-    Non-membership optionally carries a sampled eigenvector witness: a point
-    where f has a rational eigenvector that g fails to preserve.
+    so the solve against {1, f, .., f^m} (`checks.inner_powers`, whose
+    bound raises ResourceCapError here) is complete.  Non-membership carries
+    the solve's separating functional and, with a seed, a sampled
+    eigenvector witness: a point where f has a rational eigenvector that g
+    fails to preserve.
     """
     if f.d != g.d:
         raise ValueError("generators and target must share the variable count")
-    d = g.d
-    if f.degree <= 0:
-        if g.degree <= 0:
-            return CompositionCoefficients((g.constant_term,))
-        return CompositionNotMember(None)
-
-    m = max(0, int(g.degree) // int(f.degree)) if not g.is_zero() else 0
+    try:
+        powers = checks.inner_powers(f, g)
+    except checks.CheckFailed as exc:
+        raise ResourceCapError(str(exc)) from exc
     rref = WordRREF()
-    power = NcPoly.one(d)
-    for i in range(m + 1):
+    for i, power in enumerate(powers):
         rref.insert(dict(power.terms), {i: Fraction(1)})
-        power = power * f
     remainder, acc = rref.reduce(dict(g.terms), {})
     if not remainder:
-        coeffs = [Fraction(0)] * (m + 1)
+        coeffs = [Fraction(0)] * len(powers)
         for i, coeff in _combination_from_expr(acc).items():
             coeffs[i] += coeff
         self_check(checks.composition, f, g, coeffs)
         return CompositionCoefficients(tuple(coeffs))
 
-    witness = None
-    if seed is not None:
-        witness = _eigen_witness_search(g, f, seed, n_max, attempts_per_size)
-    return CompositionNotMember(witness)
+    functional = _separating_functional(rref, remainder, g.d)
+    self_check(checks.composition_not_member, f, g, functional)
+    witness = None if seed is None else _eigen_witness_search(g, f, seed, n_max, attempts_per_size)
+    return CompositionNotMember(functional, witness)
 
 
 def _eigen_witness_search(

@@ -10,9 +10,9 @@ certificate they build, through `self_check`, or as the test that accepts
 a search candidate (eigenvector and separating-point witnesses).
 
 Checkers use polynomial arithmetic, exact linear algebra and evaluation
-only; nothing here imports an engine.  Kinds that carry only search metadata
-(`span_unknown`, `assoc_unknown`, `detzero_unknown`, `lowrank_report`) have
-no checker.  `pi_result` and `rankprofile` are re-derived by a seeded or
+only; nothing here imports an engine.  Kinds that carry only search
+metadata (`assoc_unknown`, `detzero_unknown`, `lowrank_report`) have no
+checker.  `pi_result` and `rankprofile` are re-derived by a seeded or
 symbolic replay rather than checked against evidence.
 """
 
@@ -32,7 +32,7 @@ from .evaluate import (
     weyl_pair,
 )
 from .linalg import QMatrix, QVector, rank
-from .poly import NcPoly, commutator
+from .poly import MAX_PARSE_TERMS, NcPoly, commutator
 
 Mat2 = Tuple[Tuple[NcPoly, NcPoly], Tuple[NcPoly, NcPoly]]
 
@@ -194,13 +194,28 @@ def weak_pairings(
 # ---------------------------------------------------------------------------
 
 
+def inner_powers(inner: NcPoly, target: NcPoly) -> List[NcPoly]:
+    """inner^0 .. inner^m, m = deg target // deg inner (0 for a constant
+    inner or target): inner^i has lead word lead(inner)^i, so no higher
+    power can reach the target.  A power whose term-count bound (and work),
+    the previous power's term count times inner's, exceeds MAX_PARSE_TERMS
+    is refused."""
+    m = int(target.degree) // int(inner.degree) if min(inner.degree, target.degree) > 0 else 0
+    powers = [NcPoly.one(target.d)]
+    while len(powers) <= m:
+        bound = len(powers[-1].terms) * len(inner.terms)
+        _require(bound <= MAX_PARSE_TERMS,
+                 f"term-count bound of inner^{len(powers)} exceeds MAX_PARSE_TERMS = {MAX_PARSE_TERMS}")
+        powers.append(powers[-1] * inner)
+    return powers
+
+
 def composition(inner: NcPoly, target: NcPoly, coefficients: Sequence[Fraction]) -> None:
-    """target = sum of coefficients[i] * inner**i."""
-    total = NcPoly.zero(target.d)
-    power = NcPoly.one(target.d)
-    for c in coefficients:
-        total = total + c * power
-        power = power * inner
+    """target = sum of coefficients[i] * inner**i, i <= m (`inner_powers`)."""
+    powers = inner_powers(inner, target)
+    _require(len(coefficients) <= len(powers),
+             f"{len(coefficients)} coefficients where m + 1 = {len(powers)} powers reach the target")
+    total = _total((c * p for c, p in zip(coefficients, powers)), target.d)
     _require(total == target, "polynomial in the inner function misses the target")
 
 
@@ -224,9 +239,13 @@ def eigen_witness(
     return g_value
 
 
-def constant_inner(inner: NcPoly, target: NcPoly) -> None:
-    """Degree argument: a constant inner polynomial generates only constants."""
-    _require(inner.degree < 1 and target.degree >= 1, "no witness and no degree argument")
+def composition_not_member(inner: NcPoly, target: NcPoly, functional: NcPoly) -> None:
+    """The functional, read as word -> coefficient, vanishes on every power
+    of `inner_powers` and is 1 on the target, so no polynomial in inner
+    equals the target."""
+    for i, power in enumerate(inner_powers(inner, target)):
+        _require(_pairing(functional, power) == 0, f"functional is nonzero on inner^{i}")
+    _require(_pairing(functional, target) == 1, "functional is not 1 on the target")
 
 
 # ---------------------------------------------------------------------------

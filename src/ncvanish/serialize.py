@@ -244,11 +244,13 @@ def _composition_witness(problem: dict, cert: dict) -> str:
 
 
 def _composition_not_member(problem: dict, cert: dict) -> str:
-    if cert["witness"] is not None:
-        _composition_witness(problem, cert["witness"])
-        return "eigenvector witness re-checked"
-    checks.constant_inner(*_composition_parts(problem))
-    return "inner polynomial is constant and the target is not; no witness needed"
+    inner, target = _composition_parts(problem)
+    checks.composition_not_member(inner, target, parse(cert["functional"], target.d))
+    detail = "functional is zero on every reachable power of the inner polynomial and 1 on the target"
+    if cert["witness"] is None:
+        return detail
+    _composition_witness(problem, cert["witness"])
+    return detail + "; eigenvector witness re-checked"
 
 
 def _factorization(problem: dict, cert: dict) -> str:
@@ -393,7 +395,6 @@ _KINDS: Dict[str, _Kind] = {
     "trace_not_member": _Kind(certify.TraceNotMember, "checked", _trace_not_member),
     "span_coefficients": _Kind(certify.SpanCoefficients, "verified", _span_coefficients),
     "span_witness": _Kind(certify.WeakWitness, "verified", _span_witness),
-    "span_unknown": _Kind(certify.SpanUnknown, "none", _metadata(_UNKNOWN)),
     "composition": _Kind(certify.CompositionCoefficients, "verified", _composition),
     "composition_witness": _Kind(certify.EigenWitness, "verified", _composition_witness),
     "composition_not_member": _Kind(

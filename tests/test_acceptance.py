@@ -249,14 +249,8 @@ def test_acceptance_07_weak_zero_suite(capsys):
     for target_index in range(3):
         g = triple[target_index]
         basis = [p for i, p in enumerate(triple) if i != target_index]
-        found = None
-        for seed in range(1, 6):
-            res = span_membership(basis, g, n_max=3, seed=seed)
-            assert not isinstance(res, SpanCoefficients), "independent triple collapsed"
-            if isinstance(res, WeakWitness):
-                found = res
-                break
-        assert found is not None, f"no weak witness for element {target_index} in 5 seeds"
+        found = span_membership(basis, g)
+        assert isinstance(found, WeakWitness), "independent triple collapsed"
         assert found.point.n <= 3
         u, v = found.left, found.right
         for f in basis:

@@ -12,7 +12,6 @@ from ncvanish.certify import (
     MatrixWitness,
     NonHomogeneousGeneratorError,
     SpanCoefficients,
-    SpanUnknown,
     TraceCombination,
     TraceNotMember,
     WeakWitness,
@@ -26,6 +25,7 @@ from ncvanish.certify import (
 from ncvanish.evaluate import eval_poly, eval_poly_vector
 from ncvanish.linalg import QMatrix
 from ncvanish.poly import NcPoly, commutator, parse
+from ncvanish.serialize import encode_certificate, make_document, verify_certificate
 
 from conftest import random_nonzero_poly, random_poly
 
@@ -287,12 +287,6 @@ def test_span_membership_weak_witness():
     assert g_scalar != 0
 
 
-def test_span_membership_unknown_at_tiny_caps():
-    # 0 attempts at size 1 cannot find anything and cannot conclude
-    res = span_membership([parse("x1", 2)], parse("x1*x1", 2), n_max=0, seed=0)
-    assert isinstance(res, SpanUnknown)
-
-
 def test_span_random_round_trips():
     rng = random.Random(67)
     for _ in range(20):
@@ -347,6 +341,15 @@ def test_composition_not_member_with_eigen_witness():
         for j in range(n)
     )
     assert not parallel
+
+
+def test_composition_not_member_without_seed_verifies():
+    # the separating functional alone is the evidence: zero on 1 and x1, 1 on x2
+    res = in_univariate_subalgebra(parse("x2", 2), parse("x1", 2))
+    assert isinstance(res, CompositionNotMember)
+    assert res.witness is None
+    doc = make_document({"d": 2, "inner": "x1", "target": "x2"}, encode_certificate(res))
+    assert verify_certificate(doc).ok
 
 
 def test_composition_constant_edge_cases():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -42,21 +43,44 @@ def test_member_left_witness_still_decides(tmp_path):
     assert verify_certificate(doc).ok
 
 
-def test_member_span_unknown_exit_code(tmp_path):
-    rc = run(
-        ["member-span", "-d", "2", "-f", "x1", "-g", "x1*x1",
-         "--seed", "0", "--n-max", "0"]
-    )
-    assert rc == 2
+def test_member_span_non_member_exit_code(tmp_path):
+    # a non-member always gets a verified weak witness, never an Unknown
+    rc = run(["member-span", "-d", "2", "-f", "x1", "-g", "x1*x1", "--seed", "0"])
+    assert rc == 0
     doc = load_cert(tmp_path / "member-span.cert.json")
-    assert doc["certificate"]["kind"] == "span_unknown"
+    assert doc["certificate"]["kind"] == "span_witness"
     assert verify_certificate(doc).ok
+
+
+def test_member_span_ignores_the_seed(tmp_path):
+    argv = ["member-span", "-d", "2", "-f", "x1", "-f", "x2*x1", "-g", "x1*x2 + x2"]
+    for name, seed in (("a.json", ["--seed", "0"]), ("b.json", ["--seed", "1"]), ("c.json", [])):
+        assert run(argv + seed + ["--out", name]) == 0
+    docs = [(tmp_path / name).read_bytes() for name in ("a.json", "b.json", "c.json")]
+    assert docs[0] == docs[1] == docs[2]
+    assert verify_certificate(load_cert(tmp_path / "c.json")).ok
 
 
 def test_seed_is_mandatory_for_randomized_commands():
     with pytest.raises(SystemExit) as ei:
-        run(["member-span", "-d", "1", "-f", "x1", "-g", "x1*x1"])
+        run(["member-comp", "-d", "1", "-f", "x1", "-g", "x1*x1"])
     assert ei.value.code == 1
+
+
+def test_composition_powers_are_bounded(tmp_path, capsys):
+    # each power of x1 + x2 doubles its terms: unbounded, both inputs take
+    # time growing ~4x per coefficient or degree
+    doc = {"format": "ncvanish-certificate", "version": 1,
+           "problem": {"d": 2, "inner": "x1 + x2", "target": "0"},
+           "certificate": {"kind": "composition", "coefficients": ["0"] * 24,
+                           "verification": "verified"}}
+    (tmp_path / "forged.json").write_text(json.dumps(doc))
+    started = time.perf_counter()
+    assert run(["verify-cert", "forged.json"]) == 1
+    assert "m + 1 = 1" in capsys.readouterr().out
+    assert run(["member-comp", "-d", "2", "-f", "x1 + x2", "-g", "x1^24", "--seed", "0"]) == 1
+    assert "MAX_PARSE_TERMS" in capsys.readouterr().err
+    assert time.perf_counter() - started < 1.0
 
 
 def test_unknown_subcommand_exits_one():

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from ncvanish import certify
+from ncvanish import certify, serialize
 from ncvanish.cli import dispatch
 from ncvanish.evaluate import weyl_pair
 from ncvanish.poly import format_poly, parse
@@ -34,8 +34,6 @@ CLI_CASES = {
     "member-span": ["member-span", "-d", "2", "-f", "x1", "-f", "x2", "-g", "2*x1 - 3*x2",
                     "--seed", "0"],
     "member-span-witness": ["member-span", "-d", "2", "-f", "x1", "-g", "x1*x1", "--seed", "1"],
-    "member-span-unknown": ["member-span", "-d", "2", "-f", "x1", "-g", "x1*x1", "--seed", "0",
-                            "--n-max", "0"],
     "member-comp": ["member-comp", "-d", "1", "-f", "x1", "-g", "x1*x1 + 2*x1 + 1", "--seed", "0"],
     "member-comp-no": ["member-comp", "-d", "2", "-f", "x1", "-g", "x2", "--seed", "0"],
     "factor": ["factor", "-d", "2", "-f", "x1*x2*x1 + x1"],
@@ -62,15 +60,6 @@ CLI_CASES = {
                  "--point", "weyl3.json", "--left", "1,0,2", "--right", "0,1,-1"],
 }
 
-KINDS = {
-    "left_combination", "left_witness", "hom_combination", "hom_witness",
-    "trace_combination", "trace_not_member", "span_coefficients", "span_witness",
-    "span_unknown", "composition", "composition_witness", "composition_not_member",
-    "factorization", "assoc_yes", "assoc_no", "assoc_unknown", "detzero_yes",
-    "detzero_no", "detzero_unknown", "lowrank_exact", "lowrank_report", "pi_result",
-    "classification", "weyl", "rankprofile", "reference_witnesses", "eval",
-}
-
 GOLDEN = {
     "assoc": "bda48ca8f7e56ef4ca1b74168c4da139f4acd29c96e84c96a107cb00fff41192",  # assoc_yes
     "assoc-no": "97ac6c1dff80e562957ed4d3d75084e8edf3f47bd97ed8f39d1c36213bf4985f",  # assoc_no
@@ -85,14 +74,13 @@ GOLDEN = {
     "lowrank": "095335fa46c077113fea2d0e521ef4306a95f78b407908d41c95830aeaf67dc1",  # lowrank_exact
     "lowrank-report": "ea52cbd25a94f7198cee53c72fdc00a0b9565638f5f815bd99b0f2a59e4c7063",  # lowrank_report
     "member-comp": "351107c24a99338752ff8262e63bfe0f97597f55afcf0d409f2945125b9d44ec",  # composition
-    "member-comp-no": "9e62e21731e8898809568fe24090045bb38dd5276f36c6beaf2ee7cf533f865b",  # composition_not_member
+    "member-comp-no": "41766afd0249310b90f4c0afb9d500791da4c1ae639b6972fe62be4937c03a12",  # composition_not_member, functional and eigenvector witness
     "member-hom": "dcdd97d07b321cc6c8ce159c0a0fb0a0e93bcb46ec4e0c23028d6a58fd950958",  # hom_combination
     "member-hom-witness": "ffe5818ddf6007123198d3c85b9c29120e211bbea0deaca973948f9fbe586565",  # hom_witness
     "member-left": "803eb6624adfb55f4dda832032d0694417aa511f324234a122fc3ebdd88eed9a",  # left_combination
     "member-left-witness": "e9edceb9dd4f294dc1cf6420103c21509ff470a682d340228233fba57f6548fd",  # left_witness
     "member-span": "0a45376a293ad1abfb6758e3542f2be704e430199f912096cbd9e6a049b2036b",  # span_coefficients
-    "member-span-unknown": "97176e1177ed10500238894c55d189cfb5c3c29b29a3b729ea702c53bd48f1bb",  # span_unknown
-    "member-span-witness": "0954ffe3b8ed430f1a00ac024ae64bb204d853343526191d069f04346e501703",  # span_witness
+    "member-span-witness": "ed8421ad13bcea26d272b0e63815d547da03e6ebaf1d508d69c7f11298d8c3b3",  # span_witness from the separating functional
     "member-trace": "96b399551f73b9f21f1beab0a0a24bc8e3f87fcfd26e70551ad416600aa4c329",  # trace_combination
     "member-trace-no": "7d8456b47636ee1b5d4c7a1cfeed53f5cc45e8845ec8b227251b0daa5a54a855",  # trace_not_member
     "paper-witnesses": "d698e8afd073e0a3776146935ba29ef3f3d6d3866ec681651d1e2c630e34e44b",  # reference_witnesses
@@ -128,7 +116,7 @@ def documents(tmp_path_factory):
 
 
 def test_every_kind_has_a_golden_document(documents):
-    assert {doc["certificate"]["kind"] for _, doc in documents.values()} == KINDS
+    assert {doc["certificate"]["kind"] for _, doc in documents.values()} == set(serialize._KINDS)
 
 
 def test_every_golden_document_verifies(documents):
