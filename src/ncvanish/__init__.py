@@ -40,6 +40,7 @@ from .evaluate import (
     direct_sum,
     eval_poly,
     eval_poly_vector,
+    nonvanishing_point,
     pi_test,
     random_tuple,
     random_vector,

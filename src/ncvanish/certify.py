@@ -35,6 +35,12 @@ from .evaluate import (
 from .linalg import QMatrix, QVector, rank_det_kernel, rational_roots
 from .poly import NcPoly, Word, deglex_key, words_of_length, words_up_to
 
+MAX_SPAN_ENTRIES = 200_000  # coefficient entries of one multiples span
+MAX_WITNESS_DIMENSION = 500  # words bounding a two-sided witness's size
+# seeded eigenvector search of a composition No: sizes 2..max, tuples per size
+EIGEN_MAX_SIZE = 3
+EIGEN_ATTEMPTS_PER_SIZE = 25
+
 
 class NonHomogeneousGeneratorError(ValueError):
     """General two-sided membership is refused; generators must be homogeneous."""
@@ -301,9 +307,7 @@ def weak_basis(f_list: Sequence[NcPoly]) -> WeakBasis:
 # ---------------------------------------------------------------------------
 
 
-def _left_multiples_rref(
-    basis: Sequence[NcPoly], d: int, limit: int, cap: int = 200_000
-) -> WordRREF:
+def _left_multiples_rref(basis: Sequence[NcPoly], d: int, limit: int) -> WordRREF:
     """Reduced echelon store of {w*b : b in basis, deg(w*b) <= limit},
     expressions keyed (basis index, word)."""
     rref = WordRREF()
@@ -313,9 +317,9 @@ def _left_multiples_rref(
         for length in range(int(room) + 1):
             for w in words_of_length(d, length):
                 count += len(b.terms)
-                if count > cap:
+                if count > MAX_SPAN_ENTRIES:
                     raise ResourceCapError(
-                        f"left-multiple span exceeded {cap} coefficient entries"
+                        f"left-multiple span exceeded {MAX_SPAN_ENTRIES} coefficient entries"
                     )
                 shifted = {w + u: c for u, c in b.terms.items()}
                 rref.insert(shifted, {(i, w): Fraction(1)})
@@ -398,9 +402,7 @@ def left_ideal_membership(
 # ---------------------------------------------------------------------------
 
 
-def _two_sided_products(
-    f_list: Sequence[NcPoly], d: int, limit: int, cap: int = 200_000
-) -> WordRREF:
+def _two_sided_products(f_list: Sequence[NcPoly], d: int, limit: int) -> WordRREF:
     """Echelon store of {u*f_j*v : deg(u f_j v) <= limit}, keys (j, u, v)."""
     rref = WordRREF()
     count = 0
@@ -411,9 +413,9 @@ def _two_sided_products(
                 for right_len in range(room - left_len + 1):
                     for v in words_of_length(d, right_len):
                         count += len(f.terms)
-                        if count > cap:
+                        if count > MAX_SPAN_ENTRIES:
                             raise ResourceCapError(
-                                f"two-sided span exceeded {cap} coefficient entries"
+                                f"two-sided span exceeded {MAX_SPAN_ENTRIES} coefficient entries"
                             )
                         row = {u + w + v: c for w, c in f.terms.items()}
                         rref.insert(row, {(j, u, v): Fraction(1)})
@@ -421,7 +423,7 @@ def _two_sided_products(
 
 
 def hom_ideal_membership(
-    f_list: Sequence[NcPoly], g: NcPoly, max_dimension: int = 500
+    f_list: Sequence[NcPoly], g: NcPoly
 ) -> "HomCombination | MatrixWitness":
     """Decide g in the two-sided ideal generated by homogeneous f_j.
 
@@ -460,9 +462,9 @@ def hom_ideal_membership(
         return HomCombination(tuple(tuple(p) for p in pairs))
 
     word_count = len(words_up_to(d, delta))
-    if word_count > max_dimension:
+    if word_count > MAX_WITNESS_DIMENSION:
         raise ResourceCapError(
-            f"witness dimension bound {word_count} exceeds cap {max_dimension}"
+            f"witness dimension bound {word_count} exceeds cap {MAX_WITNESS_DIMENSION}"
         )
     basis = [w for w in words_up_to(d, delta) if w not in rref]
     point, _, _ = _shift_matrices(rref, d, basis)
@@ -608,11 +610,7 @@ def _char_poly(m: QMatrix) -> List[Fraction]:
 
 
 def in_univariate_subalgebra(
-    g: NcPoly,
-    f: NcPoly,
-    seed: Optional[int] = None,
-    n_max: int = 3,
-    attempts_per_size: int = 25,
+    g: NcPoly, f: NcPoly, seed: Optional[int] = None
 ) -> "CompositionCoefficients | CompositionNotMember":
     """Decide g = c_0 + c_1 f + ... + c_m f^m.
 
@@ -642,19 +640,17 @@ def in_univariate_subalgebra(
 
     functional = _separating_functional(rref, remainder, g.d)
     self_check(checks.composition_not_member, f, g, functional)
-    witness = None if seed is None else _eigen_witness_search(g, f, seed, n_max, attempts_per_size)
+    witness = None if seed is None else _eigen_witness_search(g, f, seed)
     return CompositionNotMember(functional, witness)
 
 
-def _eigen_witness_search(
-    g: NcPoly, f: NcPoly, seed: int, n_max: int, attempts_per_size: int
-) -> Optional[EigenWitness]:
+def _eigen_witness_search(g: NcPoly, f: NcPoly, seed: int) -> Optional[EigenWitness]:
     """Best-effort: rational eigenvalues only.  The first kernel vector on
     which g's value leaves the line of the vector is returned."""
     d = g.d
     rng = random.Random(seed)
-    for n in range(2, n_max + 1):
-        for _ in range(attempts_per_size):
+    for n in range(2, EIGEN_MAX_SIZE + 1):
+        for _ in range(EIGEN_ATTEMPTS_PER_SIZE):
             point = random_tuple(rng, n, d, k=2)
             fx = eval_poly(f, point)
             for lam in rational_roots(_char_poly(fx)):

@@ -10,10 +10,14 @@ certificate they build, through `self_check`, or as the test that accepts
 a search candidate (eigenvector and separating-point witnesses).
 
 Checkers use polynomial arithmetic, exact linear algebra and evaluation
-only; nothing here imports an engine.  Kinds that carry only search
-metadata (`assoc_unknown`, `detzero_unknown`, `lowrank_report`) have no
-checker.  `pi_result` and `rankprofile` are re-derived by a seeded or
-symbolic replay rather than checked against evidence.
+only; nothing here imports an engine or draws a random number.  Kinds that
+carry only search metadata (`assoc_unknown`, `detzero_unknown`,
+`lowrank_report`) have no checker.  Rank and identity claims carry their
+points: `rank_at` computes the exact rank at a stored point for
+`lowrank_exact`, `reference_witnesses` and `rankprofile`, and a False
+`pi_result` is checked by evaluating at its point.  Only a True
+`pi_result`, and the 2x2 identity of the reference polynomial, run the
+symbolic expansion of `pi_test`, because the expansion is their proof.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .evaluate import (
     eval_poly,
     eval_poly_vector,
     pi_test,
-    rank_profile,
     reference_poly,
     weyl_pair,
 )
@@ -362,8 +365,20 @@ def detzero_no(
 # ---------------------------------------------------------------------------
 
 
+def _fits(f: NcPoly, point: MatTuple, n: int) -> None:
+    _require(point.n == n and point.d == f.d,
+             f"point is {point.n}x{point.n} in {point.d} variables, expected {n}x{n} in {f.d}")
+
+
+def rank_at(f: NcPoly, point: MatTuple, n: int) -> int:
+    """Exact rank of f at a stored point, which must be n x n in f's
+    variables."""
+    _fits(f, point, n)
+    return rank(eval_poly(f, point))
+
+
 def lowrank_exact(f: NcPoly, point: MatTuple, stated: int, target_rank: int) -> None:
-    actual = rank(eval_poly(f, point))
+    actual = rank_at(f, point, point.n)
     _require(actual == stated, f"exact rank is {actual}, certificate says {stated}")
     _require(actual <= target_rank, "exact rank exceeds the target")
 
@@ -374,7 +389,7 @@ def reference_witnesses(f: NcPoly, points: Sequence[MatTuple]) -> Dict[int, int]
     _require(f == reference_poly(), "polynomial is not the reference polynomial")
     ranks: Dict[int, int] = {}
     for point in points:
-        ranks[point.n] = rank(eval_poly(f, point))
+        ranks[point.n] = rank_at(f, point, point.n)
         _require(ranks[point.n] == 1, f"witness at n={point.n} has rank {ranks[point.n]}")
     _require(pi_test(f - NcPoly.one(f.d), 2), "polynomial minus 1 is not a 2x2 identity")
     return ranks
@@ -388,17 +403,24 @@ def weyl(n: int, point: MatTuple) -> None:
              "1 - [x1,x2] does not collapse to the corner value")
 
 
-def pi_result(f: NcPoly, n: int, value: bool) -> None:
-    """Replays the symbolic identity test."""
-    _require(pi_test(f, n) == value, "symbolic re-expansion disagrees with the recorded value")
+def pi_result(f: NcPoly, n: int, value: bool, point: Optional[MatTuple]) -> None:
+    """True: f vanishes on all n x n tuples, and the symbolic expansion is
+    the proof (point is None).  False: f is nonzero at the stored n x n
+    point."""
+    if value:
+        _require(pi_test(f, n), "symbolic expansion has a nonzero entry")
+        return
+    _fits(f, point, n)
+    _require(not eval_poly(f, point).is_zero(), "polynomial vanishes at the stored point")
 
 
-def rankprofile(f: NcPoly, table: Dict[int, int], samples: int, seed: int) -> None:
-    """Replays the seeded rank profile."""
-    _require(
-        rank_profile(f, sorted(table), samples=samples, seed=seed) == table,
-        "seeded replay produced a different table",
-    )
+def rankprofile(f: NcPoly, table: Dict[int, int], points: Dict[int, MatTuple]) -> None:
+    """For every size n of the table, f has rank table[n] at the stored
+    n x n point: an upper bound on the minimum rank, nothing more."""
+    _require(set(points) == set(table), "point sizes differ from the table sizes")
+    for n, point in points.items():
+        actual = rank_at(f, point, n)
+        _require(actual == table[n], f"rank at the n={n} point is {actual}, table says {table[n]}")
 
 
 def classification(
@@ -408,8 +430,11 @@ def classification(
     left: Optional[QVector],
     right: Optional[QVector],
     memberships: Dict[str, Optional[bool]],
-) -> None:
-    """Re-derives the membership table by exact evaluation."""
+) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...], Tuple[int, ...], Fraction, Fraction, int]:
+    """Re-derives the membership table by exact evaluation; returns the
+    generators' dets, traces and ranks, then the target's."""
     result = classify_point(gens, target, point, left, right)
     for name in ("in_zero", "in_directional", "in_det_zero", "in_trace_zero", "in_weak"):
         _require(memberships.get(name) == getattr(result, name), f"{name} disagrees on re-evaluation")
+    return (result.f_dets, result.f_traces, result.f_ranks,
+            result.g_det, result.g_trace, result.g_rank)

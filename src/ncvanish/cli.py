@@ -26,7 +26,7 @@ from .evaluate import (
     ResourceCapError,
     classify_point,
     eval_poly,
-    pi_test,
+    nonvanishing_point,
     weyl_pair,
 )
 from .linalg import QVector
@@ -399,8 +399,10 @@ def _run_pi(args):
     f = parse(args.f, args.d)
     problem = {"d": args.d, "polynomial": format_poly(f), "n": args.n}
     inputs = {"polynomial": _digest(problem["polynomial"])}
-    value = pi_test(f, args.n)
-    cert = serialize.tagged("pi_result", value=value)
+    point = nonvanishing_point(f, args.n)
+    value = point is None
+    evidence = {} if value else {"point": point.to_json()}
+    cert = serialize.tagged("pi_result", value=value, **evidence)
     print(f"identically zero on {args.n}x{args.n} matrices: {'yes' if value else 'no'}")
     return EXIT_OK, problem, cert, "identity" if value else "not-identity", inputs
 
@@ -422,11 +424,15 @@ def _run_rankprofile(args):
         "sizes": sizes, "samples": args.samples, "seed": args.seed,
     }
     inputs = {"polynomial": _digest(problem["polynomial"])}
-    table = lowrank_mod.rank_profile(f, sizes, samples=args.samples, seed=args.seed)
-    cert = serialize.tagged("rankprofile", table={str(n): r for n, r in table.items()})
+    profile = lowrank_mod.rank_profile(f, sizes, samples=args.samples, seed=args.seed)
+    cert = serialize.tagged(
+        "rankprofile",
+        table={str(n): r for n, (r, _) in profile.items()},
+        points={str(n): point.to_json() for n, (_, point) in profile.items()},
+    )
     print("n   min observed rank")
     for n in sizes:
-        print(f"{n:<3d} {table[n]}")
+        print(f"{n:<3d} {profile[n][0]}")
     return EXIT_OK, problem, cert, "profiled", inputs
 
 

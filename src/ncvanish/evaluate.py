@@ -4,7 +4,11 @@ The substitution x_i -> X_i extends to the unique unital homomorphism into
 n-by-n rational matrices; everything here is exact.  Identity testing on a
 full matrix level (does f vanish on all n-by-n tuples?) is decided
 symbolically by evaluating on generic matrices whose entries are independent
-commuting indeterminates.
+commuting indeterminates.  One expansion serves both answers: `pi_test`
+reads only whether an entry is nonzero, and `nonvanishing_point` turns a
+nonzero entry into an integer point where f(X) != 0, the evidence a No
+stores so that a checker only evaluates.  The seeded and structured tuples
+here are candidates for the search engines; checkers never draw them.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import QMatrix, QVector, rank, rank_det_kernel
+from .linalg import QMatrix, QVector, rank_det_kernel
 from .poly import NcPoly, Word, commutator
 
 MAX_FACTORIAL_DEGREE = 8
+PI_MAX_OPS = 10_000_000  # monomial products of one symbolic identity test
 
 
 class ResourceCapError(RuntimeError):
@@ -228,20 +233,6 @@ def random_vector(rng: random.Random, n: int, k: int = 5, q: int = 1) -> QVector
     return QVector([Fraction(rng.randint(-k, k), q) for _ in range(n)])
 
 
-def rank_profile(
-    f: NcPoly, n_range: Sequence[int], samples: int = 20, seed: int = 0
-) -> Dict[int, int]:
-    """Minimum exact rank of f(X) over seeded random and structured tuples,
-    per matrix size.  An observed upper bound on min rank, nothing more."""
-    out: Dict[int, int] = {}
-    for n in n_range:
-        rng = random.Random(f"{seed}:{n}")
-        candidates = structured_tuples(f.d, n)
-        candidates.extend(random_tuple(rng, n, f.d) for _ in range(samples))
-        out[n] = min(rank(eval_poly(f, point)) for point in candidates)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Commutative polynomials and symbolic identity testing
 # ---------------------------------------------------------------------------
@@ -382,16 +373,15 @@ def _cpoly_mat_mul(
     return out
 
 
-def pi_test(f: NcPoly, n: int, max_ops: int = 10_000_000) -> bool:
-    """Does f vanish identically on all n-by-n matrix tuples?
-
-    Decided exactly by expanding f on generic matrices.  Raises
+def _nonzero_entry(f: NcPoly, n: int, max_ops: int) -> Optional[CPoly]:
+    """First nonzero entry, in row-major order, of f expanded on generic
+    n-by-n matrices; None when every entry is zero.  Raises
     ResourceCapError when the expansion exceeds max_ops monomial products.
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
     if f.is_zero():
-        return True
+        return None
     generic = _generic_matrices(n, f.d)
     identity = [
         [CPoly.constant(1) if i == j else CPoly() for j in range(n)] for i in range(n)
@@ -413,7 +403,55 @@ def pi_test(f: NcPoly, n: int, max_ops: int = 10_000_000) -> bool:
         for i in range(n):
             for j in range(n):
                 total[i][j] = total[i][j] + wm[i][j] * coeff
-    return all(total[i][j].is_zero() for i in range(n) for j in range(n))
+    return next((entry for row in total for entry in row if not entry.is_zero()), None)
+
+
+def pi_test(f: NcPoly, n: int, max_ops: int = PI_MAX_OPS) -> bool:
+    """Does f vanish identically on all n-by-n matrix tuples?
+
+    Decided exactly by expanding f on generic matrices.  Raises
+    ResourceCapError when the expansion exceeds max_ops monomial products.
+    """
+    return _nonzero_entry(f, n, max_ops) is None
+
+
+def _fix(
+    terms: Dict[Tuple[int, ...], Fraction], var: int, value: int
+) -> Dict[Tuple[int, ...], Fraction]:
+    """The terms with one variable set to an integer; at 0 the monomials
+    containing it just drop."""
+    out: Dict[Tuple[int, ...], Fraction] = {}
+    for mono, coeff in terms.items():
+        power = mono.count(var)
+        if power and not value:
+            continue
+        rest = tuple(v for v in mono if v != var) if power else mono
+        out[rest] = out.get(rest, 0) + coeff * value**power
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
+def nonvanishing_point(f: NcPoly, n: int) -> Optional[MatTuple]:
+    """None when f vanishes on all n-by-n tuples (the `pi_test` expansion),
+    else an integer n-by-n point where f(X) != 0.
+
+    The generic entries of a nonzero entry P of the expansion are fixed one
+    at a time, each to the least c in 0, 1, .., deg that keeps P nonzero: a
+    c that fails makes (entry - c) a factor of P, so at most deg values
+    fail.  Entries P does not use are 0.
+    """
+    entry = _nonzero_entry(f, n, PI_MAX_OPS)
+    if entry is None:
+        return None
+    terms, values = entry.terms, {}
+    for var in entry.variables():
+        value = 0
+        while not (fixed := _fix(terms, var, value)):
+            value += 1
+        terms, values[var] = fixed, value
+    return MatTuple([
+        QMatrix([[values.get(k * n * n + i * n + j, 0) for j in range(n)] for i in range(n)])
+        for k in range(f.d)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -387,16 +387,16 @@ def solve_span(basis: Sequence[QVector], target: QVector) -> SpanResult:
 # Scalar utilities
 # ---------------------------------------------------------------------------
 
+MAX_ROOT_DIVISOR = 10**7  # integers whose divisors the rational root test enumerates
 
-def rational_roots(
-    coeffs: Sequence[Fraction], divisor_cap: int = 10**7
-) -> List[Fraction]:
+
+def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
     """All rational roots of sum coeffs[k] * t**k, by the rational root test.
 
     Candidates p/q need p dividing the constant and q the leading integer
     coefficient after clearing denominators; divisor enumeration is skipped
     (returning only the roots found so far) when those integers exceed
-    divisor_cap, which callers treat as an incomplete search.
+    MAX_ROOT_DIVISOR, which callers treat as an incomplete search.
     """
     lcm = 1
     for c in coeffs:
@@ -420,7 +420,7 @@ def rational_roots(
             ints.pop(0)
         if not ints:
             return roots
-    if abs(ints[0]) > divisor_cap or abs(ints[-1]) > divisor_cap:
+    if abs(ints[0]) > MAX_ROOT_DIVISOR or abs(ints[-1]) > MAX_ROOT_DIVISOR:
         return roots
 
     def divisors(n: int) -> List[int]:

@@ -5,11 +5,14 @@ of f(X), gradients by central finite differences.  Exact side: every
 numerical candidate is pushed through rational reconstruction (entrywise, or
 an affine-coordinate linear solve, or denominator-ladder snapping) and then
 re-verified with exact linear algebra.  A rank claim is reported only after
-the exact re-check; the float path is never trusted.
+the exact re-check; the float path is never trusted.  `rank_profile` is the
+exact-only search: per size it keeps the structured or seeded random tuple
+of least rank, and that tuple is the point a `rankprofile` document stores.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import checks
 from .checks import self_check
-from .evaluate import MatTuple, eval_poly, rank_profile, reference_poly  # noqa: F401  (re-exported)
+from .evaluate import MatTuple, eval_poly, random_tuple, reference_poly, structured_tuples
 from .linalg import QMatrix, QVector, rank, rational_reconstruct, solve_linear
 from .poly import NcPoly
 
@@ -67,9 +70,6 @@ class SearchConfig:
     target_rank: int = 1
     restarts: int = 20
     max_iters: int = 5000
-    initial_step: float = 0.1
-    step_grow: float = 1.2
-    step_shrink: float = 0.5
     tolerance: float = 1e-12
     seed: int = 0
     max_den: int = 10**6
@@ -161,6 +161,12 @@ def _gradient(f: NcPoly, mats: List[np.ndarray], r: int) -> Tuple[List[np.ndarra
     return grads, norm_sq
 
 
+# backtracking line search: first step, and its growth and shrink factors
+_INITIAL_STEP = 0.1
+_STEP_GROW = 1.2
+_STEP_SHRINK = 0.5
+
+
 def _descend(
     f: NcPoly, start: List[np.ndarray], cfg: SearchConfig
 ) -> Tuple[List[np.ndarray], float, int]:
@@ -170,7 +176,7 @@ def _descend(
     r = cfg.target_rank
     mats = [m.copy() for m in start]
     obj = float(_tail_objective_batch(_eval_float_batch(f, [m[None] for m in mats]), r)[0])
-    step = cfg.initial_step
+    step = _INITIAL_STEP
     iters = 0
     while iters < cfg.max_iters and obj > cfg.tolerance:
         iters += 1
@@ -185,10 +191,10 @@ def _descend(
             )
             if trial_obj <= obj - 1e-4 * step * norm_sq:
                 mats, obj = trial, trial_obj
-                step *= cfg.step_grow
+                step *= _STEP_GROW
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= _STEP_SHRINK
             if step < 1e-16:
                 break
         if not accepted:
@@ -250,9 +256,10 @@ def _top_singular_snaps(value: np.ndarray, r: int) -> List[QMatrix]:
     return out
 
 
-def _linear_endgame(
-    f: NcPoly, mats: Sequence[np.ndarray], r: int, freeze_den: int = 32
-) -> Optional[MatTuple]:
+_FREEZE_DEN = 32  # denominator cap of the frozen coordinates in the endgame
+
+
+def _linear_endgame(f: NcPoly, mats: Sequence[np.ndarray], r: int) -> Optional[MatTuple]:
     """Exactify through a coordinate the value map is affine in.
 
     Freeze every other coordinate at a nearby small-denominator rational
@@ -264,12 +271,12 @@ def _linear_endgame(
     n = mats[0].shape[0]
     d = len(mats)
     if r >= n:
-        return _snap(mats, freeze_den)
+        return _snap(mats, _FREEZE_DEN)
     float_value = _eval_float_batch(f, [m[None] for m in mats])[0]
     column_snaps = _top_singular_snaps(float_value, r)
     for k in _affine_variables(f):
         frozen = [
-            QMatrix([[Fraction(float(x)).limit_denominator(freeze_den) for x in row] for row in m])
+            QMatrix([[Fraction(float(x)).limit_denominator(_FREEZE_DEN) for x in row] for row in m])
             for m in mats
         ]
 
@@ -388,6 +395,22 @@ def lowrank_search(f: NcPoly, n: int, cfg: SearchConfig) -> SearchResult:
         iterations=best_iters,
         exact=exact,
     )
+
+
+def rank_profile(
+    f: NcPoly, n_range: Sequence[int], samples: int = 20, seed: int = 0
+) -> Dict[int, Tuple[int, MatTuple]]:
+    """Minimum exact rank of f(X) over structured and seeded random tuples,
+    per matrix size, with the first tuple attaining it.  An observed upper
+    bound on the minimum rank, nothing more; the tuple is its evidence."""
+    out: Dict[int, Tuple[int, MatTuple]] = {}
+    for n in n_range:
+        rng = random.Random(f"{seed}:{n}")
+        candidates = structured_tuples(f.d, n)
+        candidates.extend(random_tuple(rng, n, f.d) for _ in range(samples))
+        out[n] = min(((rank(eval_poly(f, point)), point) for point in candidates),
+                     key=lambda pair: pair[0])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -336,9 +336,12 @@ def _lowrank_exact(problem: dict, cert: dict) -> str:
 
 
 def _pi_result(problem: dict, cert: dict) -> str:
-    n = int(problem["n"])
-    checks.pi_result(_polynomial(problem), n, bool(cert["value"]))
-    return f"identity test on {n}x{n} matrices re-run symbolically"
+    n, value = int(problem["n"]), bool(cert["value"])
+    point = None if value else MatTuple.from_json(cert["point"])
+    checks.pi_result(_polynomial(problem), n, value, point)
+    if value:
+        return f"identity on {n}x{n} matrices re-expanded symbolically"
+    return f"polynomial is nonzero at the stored {n}x{n} point"
 
 
 def _classification(problem: dict, cert: dict) -> str:
@@ -346,8 +349,10 @@ def _classification(problem: dict, cert: dict) -> str:
     u = QVector(problem["left"]) if problem.get("left") else None
     v = QVector(problem["right"]) if problem.get("right") else None
     point = MatTuple.from_json(problem["point"])
-    checks.classification(gens, target, point, u, v, cert["memberships"])
-    return "membership table re-derived from exact evaluation"
+    values = checks.classification(gens, target, point, u, v, cert["memberships"])
+    stored = [cert[name] for name in ("f_dets", "f_traces", "f_ranks", "g_det", "g_trace", "g_rank")]
+    _same(stored, values, "dets, traces and ranks")
+    return "membership table, dets, traces and ranks re-derived from exact evaluation"
 
 
 def _weyl(problem: dict, cert: dict) -> str:
@@ -357,8 +362,9 @@ def _weyl(problem: dict, cert: dict) -> str:
 
 def _rankprofile(problem: dict, cert: dict) -> str:
     table = {int(k): int(v) for k, v in cert["table"].items()}
-    checks.rankprofile(_polynomial(problem), table, int(problem["samples"]), int(problem["seed"]))
-    return "table reproduced by seeded replay"
+    points = {int(k): MatTuple.from_json(v) for k, v in cert["points"].items()}
+    checks.rankprofile(_polynomial(problem), table, points)
+    return "rank at every stored point equals the table; samples and seed are search metadata"
 
 
 def _reference_witnesses(problem: dict, cert: dict) -> str:

@@ -149,6 +149,20 @@ def test_classify_with_direction_vectors(tmp_path):
     assert verify_certificate(doc).ok
 
 
+def test_classification_stored_values_are_checked(tmp_path):
+    weyl_pair(2).save(str(tmp_path / "point.json"))
+    assert run(["classify", "-d", "2", "-f", "x1", "-g", "x2", "--point", "point.json"]) == 0
+    doc = load_cert(tmp_path / "classify.cert.json")
+    assert verify_certificate(doc).ok
+    # right memberships, wrong values
+    for field, value in (("f_dets", ["12345"]), ("f_ranks", [99]), ("g_rank", 99),
+                         ("g_trace", "7"), ("f_traces", ["1/2"]), ("g_det", "5")):
+        forged = json.loads(json.dumps(doc))
+        forged["certificate"][field] = value
+        res = verify_certificate(forged)
+        assert not res.ok and "dets, traces and ranks" in res.detail, field
+
+
 def test_verify_cert_round_trip(tmp_path):
     assert run(["assoc", "-d", "2", "-p", "x1*x2+1", "-q", "x2*x1+1", "--seed", "0"]) == 0
     assert run(["verify-cert", "assoc.cert.json"]) == 0

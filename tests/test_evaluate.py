@@ -11,6 +11,7 @@ from ncvanish.evaluate import (
     direct_sum,
     eval_poly,
     eval_poly_vector,
+    nonvanishing_point,
     pi_test,
     random_tuple,
     random_vector,
@@ -93,6 +94,16 @@ def test_pi_test_small_cases():
     assert not pi_test(s2, 2)
     assert pi_test(NcPoly.zero(2), 3)
     assert not pi_test(parse("1", 1), 1)
+
+
+def test_nonvanishing_point():
+    assert nonvanishing_point(standard_poly(4), 2) is None
+    for f, n in ((standard_poly(2), 2), (standard_poly(3), 2), (parse("1", 1), 1)):
+        point = nonvanishing_point(f, n)
+        assert (point.n, point.d) == (n, f.d)
+        assert not eval_poly(f, point).is_zero()
+    # x1^2 - x1 vanishes at 0 and 1, so its single entry is fixed to 2
+    assert nonvanishing_point(parse("x1^2 - x1", 1), 1) == MatTuple([QMatrix([[2]])])
 
 
 def test_pi_test_resource_cap():

@@ -8,7 +8,9 @@ update its digest and say why.
 """
 
 import hashlib
+import random
 
+import numpy as np
 import pytest
 
 from ncvanish import certify, serialize
@@ -46,6 +48,9 @@ CLI_CASES = {
     "detzero-unknown": ["detzero", "-d", "2", "-f", "x1*x2 + 1", "-g", "x2*x1 + 1", "--seed", "0",
                         "--max-degree", "1"],
     "pi": ["pi", "-d", "4", "-f", "[x1,x2]*[x3,x4] - [x3,x4]*[x1,x2]", "-n", "1"],
+    # s3 is not an identity on 2x2 matrices: the document stores a point
+    "pi-no": ["pi", "-d", "3", "-f", "x1*x2*x3 - x1*x3*x2 - x2*x1*x3 + x2*x3*x1 + x3*x1*x2 - x3*x2*x1",
+              "-n", "2"],
     "weyl": ["weyl", "-n", "5"],
     "rankprofile": ["rankprofile", "-d", "2", "-f", "1 - [x1,x2]", "--n-min", "2", "--n-max", "3",
                     "--samples", "4", "--seed", "1"],
@@ -85,7 +90,8 @@ GOLDEN = {
     "member-trace-no": "7d8456b47636ee1b5d4c7a1cfeed53f5cc45e8845ec8b227251b0daa5a54a855",  # trace_not_member
     "paper-witnesses": "d698e8afd073e0a3776146935ba29ef3f3d6d3866ec681651d1e2c630e34e44b",  # reference_witnesses
     "pi": "2922ca8ce50866b59e25bf387e65b8dff017a01ffe344a9e49cbd2ffe4349fc9",  # pi_result
-    "rankprofile": "f8926ca0615693771f5b4c2f0a0160a6e6a7fc9f84b5cbe7a843e309125d7e57",  # rankprofile
+    "pi-no": "df459ee0584db0010aa596cf64ba620b71b0473fbb867f585c559e92298c4f50",  # pi_result False, with its point
+    "rankprofile": "26a06295459ddb15f0101aab02908b30ba37dc0bc0c710f07987a6b8f422dd13",  # rankprofile, with a point per size
     "weyl": "2f7928f3d89eb14929bbc912749ac46734b3bfaac16841819941028b4aab43f3",  # weyl
 }
 
@@ -122,6 +128,18 @@ def test_every_kind_has_a_golden_document(documents):
 def test_every_golden_document_verifies(documents):
     for name, (_, doc) in documents.items():
         assert verify_certificate(doc).ok, name
+
+
+def test_verification_draws_no_random_numbers(documents, monkeypatch):
+    # checkers read evidence; a seeded replay of an engine would draw here
+    def refuse(*args, **kwargs):
+        raise AssertionError("verification drew a random number")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for name, (_, doc) in documents.items():
+        result = verify_certificate(doc)
+        assert result.ok, (name, result.detail)
 
 
 @pytest.mark.parametrize("name", sorted(list(CLI_CASES) + ["composition-witness"]))

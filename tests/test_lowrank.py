@@ -133,26 +133,35 @@ def test_exactify_rejects_far_from_low_rank():
     assert exactify(f, mats, SearchConfig(target_rank=1)) is None
 
 
+def ranks(profile):
+    return {n: r for n, (r, _) in profile.items()}
+
+
 def test_rank_profile_of_defect_polynomial():
-    prof = rank_profile(defect_poly(), range(2, 4), samples=5, seed=0)
-    assert prof == {2: 1, 3: 1}
+    f = defect_poly()
+    prof = rank_profile(f, range(2, 4), samples=5, seed=0)
+    assert ranks(prof) == {2: 1, 3: 1}
+    for n, (r, point) in prof.items():
+        assert point.n == n and rank(eval_poly(f, point)) == r
 
 
 def test_rank_profile_of_constant_is_full():
     prof = rank_profile(parse("1", 2), range(1, 4), samples=3, seed=0)
-    assert prof == {1: 1, 2: 2, 3: 3}
+    assert ranks(prof) == {1: 1, 2: 2, 3: 3}
 
 
 def test_rank_profile_of_single_variable_hits_zero():
     prof = rank_profile(parse("x1", 2), range(1, 4), samples=3, seed=0)
-    assert prof == {1: 0, 2: 0, 3: 0}
+    assert ranks(prof) == {1: 0, 2: 0, 3: 0}
+    # the zero tuple comes first among the candidates
+    assert all(eval_poly(NcPoly.var(1, 2), point).is_zero() for _, point in prof.values())
 
 
 def test_rank_profile_monotone_in_samples():
     # adding samples can only lower the observed minimum rank
     f = defect_poly()
-    small = rank_profile(f, range(2, 5), samples=3, seed=0)
-    big = rank_profile(f, range(2, 5), samples=12, seed=0)
+    small = ranks(rank_profile(f, range(2, 5), samples=3, seed=0))
+    big = ranks(rank_profile(f, range(2, 5), samples=12, seed=0))
     for n in range(2, 5):
         assert big[n] <= small[n]
 

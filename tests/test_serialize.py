@@ -1,9 +1,17 @@
 import copy
 import json
+import time
 from fractions import Fraction
 
 from ncvanish import certify, factorization, lowrank
-from ncvanish.evaluate import MatTuple, eval_poly, pi_test, standard_poly, weyl_pair
+from ncvanish.evaluate import (
+    MatTuple,
+    eval_poly,
+    nonvanishing_point,
+    pi_test,
+    standard_poly,
+    weyl_pair,
+)
 from ncvanish.linalg import QMatrix
 from ncvanish.poly import NcPoly, commutator, format_poly, parse
 from ncvanish.serialize import (
@@ -324,23 +332,51 @@ def test_weyl_certificate_verifies(tmp_path):
     tampered_fails(doc, lambda d: d["certificate"].__setitem__("point", wrong.to_json()))
 
 
-def test_rankprofile_certificate_verifies(tmp_path):
+def rankprofile_document(samples):
     f = parse("1", 2) - commutator(NcPoly.var(1, 2), NcPoly.var(2, 2))
-    table = lowrank.rank_profile(f, range(2, 4), samples=4, seed=1)
-    problem = {
-        "d": 2,
-        "polynomial": format_poly(f),
-        "samples": 4,
-        "seed": 1,
-    }
+    profile = lowrank.rank_profile(f, range(2, 4), samples=4, seed=1)
+    problem = {"d": 2, "polynomial": format_poly(f), "sizes": [2, 3], "samples": samples, "seed": 1}
     cert = {
         "kind": "rankprofile",
-        "table": {str(n): r for n, r in table.items()},
+        "table": {str(n): r for n, (r, _) in profile.items()},
+        "points": {str(n): point.to_json() for n, (_, point) in profile.items()},
         "verification": "verified",
     }
-    doc = roundtrip(make_document(problem, cert), tmp_path)
+    return make_document(problem, cert)
+
+
+def test_rankprofile_certificate_verifies(tmp_path):
+    doc = roundtrip(rankprofile_document(4), tmp_path)
     assert verify_certificate(doc).ok
     tampered_fails(doc, lambda d: d["certificate"]["table"].__setitem__("2", 0))
+    tampered_fails(doc, lambda d: d["certificate"].pop("points"))
+    res = tampered_fails(doc, lambda d: d["certificate"]["points"].__setitem__(
+        "2", d["certificate"]["points"]["3"]))
+    assert "expected 2x2" in res.detail
+
+
+def test_rankprofile_samples_are_metadata():
+    # the checker evaluates the stored points and never reads samples
+    doc = rankprofile_document(10**9)
+    start = time.perf_counter()
+    assert verify_certificate(doc).ok
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pi_result_no_carries_its_point(tmp_path):
+    f = standard_poly(3)
+    point = nonvanishing_point(f, 2)
+    problem = {"d": 3, "polynomial": format_poly(f), "n": 2}
+    cert = {"kind": "pi_result", "value": False, "point": point.to_json(),
+            "verification": "verified"}
+    doc = roundtrip(make_document(problem, cert), tmp_path)
+    assert verify_certificate(doc).ok
+    tampered_fails(doc, lambda d: d["certificate"].__setitem__("value", True))
+    tampered_fails(doc, lambda d: d["certificate"].pop("point"))
+    # s3 vanishes on commuting matrices, the zero tuple among them
+    zero = MatTuple([QMatrix.zeros(2, 2)] * 3)
+    res = tampered_fails(doc, lambda d: d["certificate"].__setitem__("point", zero.to_json()))
+    assert "vanishes" in res.detail
 
 
 def test_reference_witnesses_tied_to_reference_polynomial(tmp_path):
