@@ -55,6 +55,7 @@ class NonHomogeneousGeneratorError(ValueError):
 class LeftCombination:
     """g = sum of cofactors[j] * f_j, right cofactors identically 1."""
 
+    KIND = "left_combination"
     cofactors: Tuple[NcPoly, ...]
 
 
@@ -62,6 +63,7 @@ class LeftCombination:
 class DirectionalWitness:
     """(X, v) with f_j(X)v = 0 for every generator and g(X)v != 0."""
 
+    KIND = "left_witness"
     point: MatTuple
     vector: QVector
     f_values: Tuple[QVector, ...]
@@ -72,6 +74,7 @@ class DirectionalWitness:
 class HomCombination:
     """g = sum over j of sum of u*f_j*v for the (u, v) pairs of generator j."""
 
+    KIND = "hom_combination"
     pairs: Tuple[Tuple[Tuple[NcPoly, NcPoly], ...], ...]
 
 
@@ -79,6 +82,7 @@ class HomCombination:
 class MatrixWitness:
     """X with every f_j(X) the zero matrix while g(X) is not."""
 
+    KIND = "hom_witness"
     point: MatTuple
     f_values: Tuple[QMatrix, ...]
     g_value: QMatrix
@@ -91,6 +95,7 @@ class TraceCombination:
     branch 'one-in-span' has target 1, branch 'g-in-span' has target g.
     """
 
+    KIND = "trace_combination"
     branch: str
     lambdas: Tuple[Fraction, ...]
     commutators: Tuple[Tuple[NcPoly, NcPoly], ...]
@@ -103,11 +108,13 @@ class TraceNotMember:
     per goal (1, then g), read as word -> coefficient: it vanishes on every
     reduced generator and is 1 on the reduced goal."""
 
+    KIND = "trace_not_member"
     functionals: Tuple[NcPoly, NcPoly]
 
 
 @dataclass(frozen=True)
 class SpanCoefficients:
+    KIND = "span_coefficients"
     coefficients: Tuple[Fraction, ...]
 
 
@@ -115,6 +122,7 @@ class SpanCoefficients:
 class WeakWitness:
     """(X, u, v) with u^t f_j(X) v = 0 for every generator, u^t g(X) v != 0."""
 
+    KIND = "span_witness"
     point: MatTuple
     left: QVector
     right: QVector
@@ -126,6 +134,7 @@ class WeakWitness:
 class CompositionCoefficients:
     """g = sum of coefficients[i] * f**i."""
 
+    KIND = "composition"
     coefficients: Tuple[Fraction, ...]
 
 
@@ -133,6 +142,7 @@ class CompositionCoefficients:
 class EigenWitness:
     """f(X)v = eigenvalue * v but g(X)v is not a multiple of v."""
 
+    KIND = "composition_witness"
     point: MatTuple
     vector: QVector
     eigenvalue: Fraction
@@ -144,6 +154,7 @@ class CompositionNotMember:
     """`functional` (word -> coefficient) vanishes on f^0..f^m and is 1 on
     g; `witness` is there when a seeded eigenvector search found one."""
 
+    KIND = "composition_not_member"
     functional: NcPoly
     witness: Optional[EigenWitness]
 
@@ -614,12 +625,14 @@ def in_univariate_subalgebra(
 ) -> "CompositionCoefficients | CompositionNotMember":
     """Decide g = c_0 + c_1 f + ... + c_m f^m.
 
-    Powers of f have strictly increasing degrees (leading words multiply),
-    so the solve against {1, f, .., f^m} (`checks.inner_powers`, whose
-    bound raises ResourceCapError here) is complete.  Non-membership carries
-    the solve's separating functional and, with a seed, a sampled
-    eigenvector witness: a point where f has a rational eigenvector that g
-    fails to preserve.
+    The powers f^0..f^m (`checks.inner_powers`, whose bound raises
+    ResourceCapError here) have distinct lead words lead(f)^i and no higher
+    power reaches g, so one top-down pass reduces g against them.  A
+    nonzero remainder r gives the separating functional, built bottom-up:
+    e_w / r_w for the greatest word w of r, plus at each lead word the term
+    that zeroes it on that power (a power has no later lead word).  With a
+    seed, the No also carries a sampled eigenvector witness: a point where
+    f has a rational eigenvector that g fails to preserve.
     """
     if f.d != g.d:
         raise ValueError("generators and target must share the variable count")
@@ -627,18 +640,23 @@ def in_univariate_subalgebra(
         powers = checks.inner_powers(f, g)
     except checks.CheckFailed as exc:
         raise ResourceCapError(str(exc)) from exc
-    rref = WordRREF()
-    for i, power in enumerate(powers):
-        rref.insert(dict(power.terms), {i: Fraction(1)})
-    remainder, acc = rref.reduce(dict(g.terms), {})
+    remainder = dict(g.terms)
+    coeffs = [Fraction(0)] * len(powers)
+    for i in reversed(range(len(powers))):
+        power = powers[i]
+        coeffs[i] = remainder.get(power.lead_word, Fraction(0)) / power.lead_coeff
+        _row_axpy(remainder, coeffs[i], power.terms)
     if not remainder:
-        coeffs = [Fraction(0)] * len(powers)
-        for i, coeff in _combination_from_expr(acc).items():
-            coeffs[i] += coeff
         self_check(checks.composition, f, g, coeffs)
         return CompositionCoefficients(tuple(coeffs))
 
-    functional = _separating_functional(rref, remainder, g.d)
+    w = max(remainder, key=deglex_key)
+    phi = {w: 1 / remainder[w]}
+    for power in powers:
+        value = sum(c * phi.get(u, 0) for u, c in power.terms.items())
+        if value:
+            phi[power.lead_word] = -value / power.lead_coeff
+    functional = NcPoly(g.d, phi)
     self_check(checks.composition_not_member, f, g, functional)
     witness = None if seed is None else _eigen_witness_search(g, f, seed)
     return CompositionNotMember(functional, witness)

@@ -6,12 +6,15 @@ result can be replayed or handed to `verify-cert` on its own.  Exit codes:
 0 for a decided or verified outcome, 2 for an honest Unknown (`assoc`,
 `detzero`, `lowrank`), 1 for usage or data errors.  Commands with any
 randomness take a mandatory --seed; `member-span` is deterministic and
-accepts a --seed only to ignore it.
+accepts a --seed only to ignore it.  Each handler imports the engine it runs,
+so `verify-cert` loads only the verifier's trusted base (`serialize` and the
+modules it imports) and never numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -20,7 +23,8 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from . import certify, factorization as factor_mod, lowrank as lowrank_mod, serialize
+from . import serialize
+from .checks import InternalInconsistencyError
 from .evaluate import (
     MatTuple,
     ResourceCapError,
@@ -45,6 +49,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ncvanish", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -267,6 +272,7 @@ def _run_classify(args):
 
 
 def _run_member_left(args):
+    from . import certify
     problem, inputs, gens, target = _gen_problem(args)
     result = certify.left_ideal_membership(gens, target)
     cert = serialize.encode_certificate(result)
@@ -282,6 +288,7 @@ def _run_member_left(args):
 
 
 def _run_member_hom(args):
+    from . import certify
     problem, inputs, gens, target = _gen_problem(args)
     result = certify.hom_ideal_membership(gens, target)
     cert = serialize.encode_certificate(result)
@@ -298,6 +305,7 @@ def _run_member_hom(args):
 
 
 def _run_member_trace(args):
+    from . import certify
     problem, inputs, gens, target = _gen_problem(args)
     result = certify.trace_membership(gens, target)
     cert = serialize.encode_certificate(result)
@@ -311,6 +319,7 @@ def _run_member_trace(args):
 
 
 def _run_member_span(args):
+    from . import certify
     problem, inputs, gens, target = _gen_problem(args)
     result = certify.span_membership(gens, target)
     cert = serialize.encode_certificate(result)
@@ -323,6 +332,7 @@ def _run_member_span(args):
 
 
 def _run_member_comp(args):
+    from . import certify
     inner = parse(args.f, args.d)
     target = parse(args.g, args.d)
     problem = {"d": args.d, "inner": format_poly(inner), "target": format_poly(target)}
@@ -341,6 +351,7 @@ def _run_member_comp(args):
 
 
 def _run_factor(args):
+    from . import factorization as factor_mod
     f = parse(args.f, args.d)
     problem = {"d": args.d, "polynomial": format_poly(f), "max_degree": args.max_degree}
     inputs = {"polynomial": _digest(problem["polynomial"])}
@@ -355,6 +366,7 @@ def _run_factor(args):
 
 
 def _run_assoc(args):
+    from . import factorization as factor_mod
     p = parse(args.p, args.d)
     q = parse(args.q, args.d)
     problem = {"d": args.d, "p": format_poly(p), "q": format_poly(q)}
@@ -379,6 +391,7 @@ def _run_assoc(args):
 
 
 def _run_detzero(args):
+    from . import factorization as factor_mod
     problem, inputs, gens, target = _gen_problem(args)
     result = factor_mod.detzero_inclusion(
         gens, target, max_degree=args.max_degree, seed=args.seed
@@ -417,6 +430,7 @@ def _run_weyl(args):
 
 
 def _run_rankprofile(args):
+    from . import lowrank as lowrank_mod
     f = parse(args.f, args.d)
     sizes = list(range(args.n_min, args.n_max + 1))
     problem = {
@@ -437,6 +451,7 @@ def _run_rankprofile(args):
 
 
 def _run_lowrank(args):
+    from . import lowrank as lowrank_mod
     f = parse(args.f, args.d)
     cfg = lowrank_mod.SearchConfig(
         target_rank=args.r, restarts=args.restarts, max_iters=args.max_iters,
@@ -469,6 +484,7 @@ def _run_lowrank(args):
 
 
 def _run_reference(args):
+    from . import lowrank as lowrank_mod
     report = lowrank_mod.verify_reference_witnesses()
     points = lowrank_mod.reference_witnesses()
     cert = serialize.tagged(
@@ -546,7 +562,7 @@ def dispatch(argv: List[str]) -> int:
     except (NcParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ResourceCapError, certify.InternalInconsistencyError) as exc:
+    except (ResourceCapError, InternalInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

@@ -120,13 +120,16 @@ def direct_sum(a: MatTuple, b: MatTuple) -> MatTuple:
 
 
 def _word_value(word: Word, point: MatTuple, cache: Dict[Word, QMatrix]) -> QMatrix:
-    if word in cache:
-        return cache[word]
-    if not word:
-        value = QMatrix.identity(point.n)
-    else:
-        value = _word_value(word[:-1], point, cache) @ point[word[-1] - 1]
-    cache[word] = value
+    """w(X) from its longest cached prefix, one letter at a time (a loop, not
+    recursion, so words of any parseable length evaluate)."""
+    end = len(word)
+    value = cache.get(word)
+    while value is None:
+        end -= 1
+        value = cache.get(word[:end])
+    for k in range(end, len(word)):
+        value = value @ point[word[k] - 1]
+        cache[word[:k + 1]] = value
     return value
 
 
@@ -134,7 +137,7 @@ def eval_poly(f: NcPoly, point: MatTuple) -> QMatrix:
     """Value of the substitution homomorphism at the given tuple."""
     if f.d != point.d:
         raise ValueError(f"variable count mismatch: polynomial {f.d}, tuple {point.d}")
-    cache: Dict[Word, QMatrix] = {}
+    cache: Dict[Word, QMatrix] = {(): QMatrix.identity(point.n)}
     result = QMatrix.zeros(point.n, point.n)
     for word, coeff in f.terms.items():
         result = result + coeff * _word_value(word, point, cache)
@@ -144,25 +147,26 @@ def eval_poly(f: NcPoly, point: MatTuple) -> QMatrix:
 def eval_poly_vector(f: NcPoly, point: MatTuple, v: QVector) -> QVector:
     """f(X) @ v computed word by word; avoids full matrix products.
 
-    Word suffixes are cached: w(X)v applies letters right to left, so words
-    sharing a suffix share the partial product.
+    Word suffixes are cached: w(X)v applies letters right to left from the
+    longest cached suffix, so words sharing a suffix share the partial
+    product.
     """
     if f.d != point.d:
         raise ValueError(f"variable count mismatch: polynomial {f.d}, tuple {point.d}")
     if len(v) != point.n:
         raise ValueError("vector length must match matrix size")
     cache: Dict[Word, QVector] = {(): v}
-
-    def suffix_value(word: Word) -> QVector:
-        if word in cache:
-            return cache[word]
-        value = point[word[0] - 1] @ suffix_value(word[1:])
-        cache[word] = value
-        return value
-
     result = QVector.zero(point.n)
     for word, coeff in f.terms.items():
-        result = result + coeff * suffix_value(word)
+        start = 0
+        value = cache.get(word)
+        while value is None:
+            start += 1
+            value = cache.get(word[start:])
+        for k in range(start - 1, -1, -1):
+            value = point[word[k] - 1] @ value
+            cache[word[k:]] = value
+        result = result + coeff * value
     return result
 
 

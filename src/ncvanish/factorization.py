@@ -351,6 +351,7 @@ def _mat2(entries: Sequence[Sequence[NcPoly]]) -> Mat2:
 class AssocYes:
     """P * diag(q,1) * Q = diag(p,1) with explicit two-sided inverses."""
 
+    KIND = "assoc_yes"
     p_mat: Mat2
     q_mat: Mat2
     p_inv: Mat2
@@ -361,6 +362,7 @@ class AssocYes:
 class AssocNo:
     """A directional zero of one polynomial that the other misses."""
 
+    KIND = "assoc_no"
     point: MatTuple
     vector: QVector
     vanishing: str  # "p" or "q": whose value kills the vector
@@ -370,6 +372,7 @@ class AssocNo:
 
 @dataclass(frozen=True)
 class AssocUnknown:
+    KIND = "assoc_unknown"
     chain_depth: int
     n_max: int
     samples_per_size: int
@@ -568,6 +571,7 @@ class DetZeroYes:
     `g_factors` is the complete factorization of g the matches were drawn
     from."""
 
+    KIND = "detzero_yes"
     generator_index: int
     g_factors: Tuple[NcPoly, ...]
     matching: Tuple[FactorMatch, ...]
@@ -577,12 +581,14 @@ class DetZeroYes:
 class DetZeroNo:
     """Per generator: a factor refuted against every factor of g."""
 
+    KIND = "detzero_no"
     g_factors: Tuple[NcPoly, ...]
     refutations: Tuple[Refutation, ...]
 
 
 @dataclass(frozen=True)
 class DetZeroUnknown:
+    KIND = "detzero_unknown"
     reason: str
 
 

@@ -2,13 +2,16 @@
 
 One document per engine run: the problem statement, the certificate, and the
 engine's verification status.  Each certificate kind is one row of `_KINDS`:
-the engine type it encodes, the constant `verification` string its documents
-carry, and a function that decodes a document and runs the kind's checker
-from `checks`, the same checker the engine ran before returning.  Decoding
-re-parses polynomials through the shared grammar and matrices through the
-shared tuple format.  Search bounds and completeness flags are carried as
-metadata: they describe how hard an engine looked, not an algebraic fact a
-document could prove.
+the constant `verification` string its documents carry, and a function that
+decodes a document and runs the kind's checker from `checks`, the same
+checker the engine ran before returning.  An engine's certificate dataclass
+names its kind in a `KIND` class attribute, so neither the encoder nor the
+verifier imports an engine: this module needs only `poly`, `linalg`,
+`evaluate` and `checks`, and with them it is the trusted base that
+`verify-cert` loads.  Decoding re-parses polynomials through the shared
+grammar and matrices through the shared tuple format.  Search bounds and
+completeness flags are carried as metadata: they describe how hard an engine
+looked, not an algebraic fact a document could prove.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from . import certify, checks, factorization as factor_mod
+from . import checks
 from .checks import CheckFailed
 from .evaluate import MatTuple, eval_poly, eval_poly_vector
 from .linalg import QMatrix, QVector
@@ -68,7 +71,7 @@ def load_document(path: str) -> dict:
 def _json(value):
     """JSON form of a certificate value.  Certificate objects become objects
     keyed by field name, tagged with their kind and verification string when
-    their type has a row in `_KINDS`."""
+    their type names a kind in its `KIND` class attribute."""
     if isinstance(value, NcPoly):
         return format_poly(value)
     if isinstance(value, MatTuple):
@@ -82,7 +85,7 @@ def _json(value):
     if hasattr(value, "_asdict") or dataclasses.is_dataclass(value):
         fields = value._asdict() if hasattr(value, "_asdict") else vars(value)
         out = {name: _json(v) for name, v in fields.items()}
-        kind = _KIND_OF_TYPE.get(type(value))
+        kind = getattr(type(value), "KIND", None)
         return out if kind is None else tagged(kind, **out)
     if isinstance(value, (list, tuple)):
         return [_json(v) for v in value]
@@ -99,7 +102,7 @@ def encode_certificate(cert) -> dict:
     """Certificate object to its JSON form."""
     if isinstance(cert, list):  # `factor` returns its options as a plain list
         return tagged("factorization", options=_json(cert))
-    if type(cert) not in _KIND_OF_TYPE:
+    if not hasattr(type(cert), "KIND"):
         raise TypeError(f"no JSON encoding for {type(cert).__name__}")
     return _json(cert)
 
@@ -385,7 +388,6 @@ def _metadata(detail: str) -> Callable[[dict, dict], str]:
 
 @dataclass(frozen=True)
 class _Kind:
-    type: Optional[type]  # engine certificate type; None where the command layer builds the fields
     verification: str  # constant status string written into every document of the kind
     verify: Callable[[dict, dict], str]  # decode, run the checker, return the detail line
 
@@ -393,38 +395,30 @@ class _Kind:
 _UNKNOWN = "unknown outcome; search bounds carried as metadata"
 
 _KINDS: Dict[str, _Kind] = {
-    "left_combination": _Kind(certify.LeftCombination, "verified", _left_combination),
-    "left_witness": _Kind(certify.DirectionalWitness, "verified", _left_witness),
-    "hom_combination": _Kind(certify.HomCombination, "verified", _hom_combination),
-    "hom_witness": _Kind(certify.MatrixWitness, "verified", _hom_witness),
-    "trace_combination": _Kind(certify.TraceCombination, "verified", _trace_combination),
-    "trace_not_member": _Kind(certify.TraceNotMember, "checked", _trace_not_member),
-    "span_coefficients": _Kind(certify.SpanCoefficients, "verified", _span_coefficients),
-    "span_witness": _Kind(certify.WeakWitness, "verified", _span_witness),
-    "composition": _Kind(certify.CompositionCoefficients, "verified", _composition),
-    "composition_witness": _Kind(certify.EigenWitness, "verified", _composition_witness),
-    "composition_not_member": _Kind(
-        certify.CompositionNotMember, "checked", _composition_not_member
-    ),
-    "factorization": _Kind(None, "verified", _factorization),
-    "assoc_yes": _Kind(factor_mod.AssocYes, "verified", _assoc_yes),
-    "assoc_no": _Kind(factor_mod.AssocNo, "verified", _assoc_no),
-    "assoc_unknown": _Kind(factor_mod.AssocUnknown, "none", _metadata(_UNKNOWN)),
-    "detzero_yes": _Kind(factor_mod.DetZeroYes, "verified", _detzero_yes),
-    "detzero_no": _Kind(factor_mod.DetZeroNo, "verified", _detzero_no),
-    "detzero_unknown": _Kind(
-        factor_mod.DetZeroUnknown, "none", _metadata("unknown outcome; reason carried as metadata")
-    ),
-    "lowrank_exact": _Kind(None, "verified", _lowrank_exact),
-    "lowrank_report": _Kind(
-        None, "none", _metadata("float-only outcome; nothing exact to re-check")
-    ),
-    "pi_result": _Kind(None, "verified", _pi_result),
-    "classification": _Kind(None, "verified", _classification),
-    "weyl": _Kind(None, "verified", _weyl),
-    "rankprofile": _Kind(None, "verified", _rankprofile),
-    "reference_witnesses": _Kind(None, "verified", _reference_witnesses),
-    "eval": _Kind(None, "verified", _eval),
+    "left_combination": _Kind("verified", _left_combination),
+    "left_witness": _Kind("verified", _left_witness),
+    "hom_combination": _Kind("verified", _hom_combination),
+    "hom_witness": _Kind("verified", _hom_witness),
+    "trace_combination": _Kind("verified", _trace_combination),
+    "trace_not_member": _Kind("checked", _trace_not_member),
+    "span_coefficients": _Kind("verified", _span_coefficients),
+    "span_witness": _Kind("verified", _span_witness),
+    "composition": _Kind("verified", _composition),
+    "composition_witness": _Kind("verified", _composition_witness),
+    "composition_not_member": _Kind("checked", _composition_not_member),
+    "factorization": _Kind("verified", _factorization),
+    "assoc_yes": _Kind("verified", _assoc_yes),
+    "assoc_no": _Kind("verified", _assoc_no),
+    "assoc_unknown": _Kind("none", _metadata(_UNKNOWN)),
+    "detzero_yes": _Kind("verified", _detzero_yes),
+    "detzero_no": _Kind("verified", _detzero_no),
+    "detzero_unknown": _Kind("none", _metadata("unknown outcome; reason carried as metadata")),
+    "lowrank_exact": _Kind("verified", _lowrank_exact),
+    "lowrank_report": _Kind("none", _metadata("float-only outcome; nothing exact to re-check")),
+    "pi_result": _Kind("verified", _pi_result),
+    "classification": _Kind("verified", _classification),
+    "weyl": _Kind("verified", _weyl),
+    "rankprofile": _Kind("verified", _rankprofile),
+    "reference_witnesses": _Kind("verified", _reference_witnesses),
+    "eval": _Kind("verified", _eval),
 }
-
-_KIND_OF_TYPE = {row.type: kind for kind, row in _KINDS.items() if row.type is not None}

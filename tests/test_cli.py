@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from ncvanish import cli
 from ncvanish.cli import dispatch
 from ncvanish.evaluate import weyl_pair
 from ncvanish.serialize import load_document, verify_certificate
@@ -65,6 +66,31 @@ def test_seed_is_mandatory_for_randomized_commands():
     with pytest.raises(SystemExit) as ei:
         run(["member-comp", "-d", "1", "-f", "x1", "-g", "x1*x1"])
     assert ei.value.code == 1
+
+
+def test_consecutive_dispatches_share_one_parser(tmp_path):
+    assert run(["member-left", "-d", "2", "-f", "x1", "-f", "x2", "-g", "x1", "--out", "a.json"]) == 0
+    assert run(["member-left", "-d", "2", "-f", "x1", "-g", "x1", "--out", "b.json"]) == 0
+    assert load_cert(tmp_path / "a.json")["problem"]["generators"] == ["x1", "x2"]
+    assert load_cert(tmp_path / "b.json")["problem"]["generators"] == ["x1"]
+    with pytest.raises(SystemExit) as ei:
+        run(["assoc", "-d", "2", "-p", "x1", "-q", "x2"])
+    assert ei.value.code == 1
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_composition_of_high_degree_is_fast(tmp_path):
+    # the powers of x1 are triangular by lead word: one reduction pass, no
+    # elimination, and the 2000-letter words evaluate without recursion
+    for target, kind in (("x1^2000 + x2", "composition_not_member"),
+                         ("x1^2000 + 3*x1", "composition")):
+        started = time.perf_counter()
+        assert run(["member-comp", "-d", "2", "-f", "x1", "-g", target, "--seed", "0",
+                    "--force"]) == 0
+        doc = load_cert(tmp_path / "member-comp.cert.json")
+        assert doc["certificate"]["kind"] == kind
+        assert verify_certificate(doc).ok
+        assert time.perf_counter() - started < 2
 
 
 def test_composition_powers_are_bounded(tmp_path, capsys):

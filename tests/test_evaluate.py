@@ -48,6 +48,15 @@ def test_eval_poly_vector_matches_full_product():
         assert eval_poly_vector(f, X, v) == eval_poly(f, X) @ v
 
 
+def test_long_words_evaluate():
+    # a word of 3000 letters is deeper than the interpreter's recursion limit
+    f = parse("x1^3000 - x2*x1^2999", 2)
+    X = MatTuple([QMatrix([[0, 1], [1, 0]]), QMatrix([[2, 0], [0, 3]])])
+    v = QVector([1, 5])
+    assert eval_poly(f, X) == QMatrix([[1, -2], [-3, 1]])
+    assert eval_poly_vector(f, X, v) == eval_poly(f, X) @ v
+
+
 def test_direct_sum_blocks():
     rng = random.Random(15)
     A = random_tuple(rng, 2, 2)

@@ -8,11 +8,16 @@ update its digest and say why.
 """
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ncvanish
 from ncvanish import certify, serialize
 from ncvanish.cli import dispatch
 from ncvanish.evaluate import weyl_pair
@@ -101,9 +106,14 @@ def _digest(path):
 
 
 @pytest.fixture(scope="module")
-def documents(tmp_path_factory):
+def golden_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def documents(golden_dir):
     """Digest and parsed document of every golden document."""
-    root = tmp_path_factory.mktemp("golden")
+    root = golden_dir
     weyl_pair(3).save(str(root / "weyl3.json"))
     out = {}
     for name, argv in CLI_CASES.items():
@@ -140,6 +150,30 @@ def test_verification_draws_no_random_numbers(documents, monkeypatch):
     for name, (_, doc) in documents.items():
         result = verify_certificate(doc)
         assert result.ok, (name, result.detail)
+
+
+# verifies each document as a library call and as `verify-cert`, then names
+# the engine modules and numpy that verification loaded
+_CLOSURE = """
+import json, sys
+from ncvanish import cli, serialize
+for path in sys.argv[1:]:
+    assert serialize.verify_certificate(serialize.load_document(path)).ok, path
+    assert cli.dispatch(["verify-cert", path]) == 0, path
+engines = ("ncvanish.certify", "ncvanish.factorization", "ncvanish.lowrank", "numpy")
+print(json.dumps([name for name in engines if name in sys.modules]))
+"""
+
+
+def test_verification_loads_only_the_trusted_base(documents, golden_dir):
+    paths = sorted(str(p) for p in golden_dir.glob("*.cert.json"))
+    assert len(paths) == len(documents)
+    src = os.path.dirname(os.path.dirname(ncvanish.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _CLOSURE, *paths], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 @pytest.mark.parametrize("name", sorted(list(CLI_CASES) + ["composition-witness"]))
