@@ -14,7 +14,7 @@ and `evaluate`: the verifier's trusted base stays free of the engines and of
 numpy.
 """
 
-from .evaluate import MatTuple, classify_point
+from .evaluate import MatTuple, classify_point, eval_poly
 from .linalg import QVector
 from .poly import parse
 

@@ -119,28 +119,27 @@ def direct_sum(a: MatTuple, b: MatTuple) -> MatTuple:
 # ---------------------------------------------------------------------------
 
 
-def _word_value(word: Word, point: MatTuple, cache: Dict[Word, QMatrix]) -> QMatrix:
-    """w(X) from its longest cached prefix, one letter at a time (a loop, not
-    recursion, so words of any parseable length evaluate)."""
-    end = len(word)
-    value = cache.get(word)
-    while value is None:
-        end -= 1
-        value = cache.get(word[:end])
-    for k in range(end, len(word)):
-        value = value @ point[word[k] - 1]
-        cache[word[:k + 1]] = value
-    return value
-
-
 def eval_poly(f: NcPoly, point: MatTuple) -> QMatrix:
-    """Value of the substitution homomorphism at the given tuple."""
+    """Value of the substitution homomorphism at the given tuple.
+
+    Word prefixes are cached: w(X) applies letters left to right from the
+    longest cached prefix, so words sharing a prefix share the partial
+    product.
+    """
     if f.d != point.d:
         raise ValueError(f"variable count mismatch: polynomial {f.d}, tuple {point.d}")
     cache: Dict[Word, QMatrix] = {(): QMatrix.identity(point.n)}
     result = QMatrix.zeros(point.n, point.n)
     for word, coeff in f.terms.items():
-        result = result + coeff * _word_value(word, point, cache)
+        end = len(word)
+        value = cache.get(word)
+        while value is None:
+            end -= 1
+            value = cache.get(word[:end])
+        for k in range(end, len(word)):
+            value = value @ point[word[k] - 1]
+            cache[word[:k + 1]] = value
+        result = result + coeff * value
     return result
 
 

@@ -17,8 +17,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import checks
 from .checks import Mat2, diag2, mat2_mul, self_check
-from .evaluate import CPoly, MatTuple, eval_poly, random_tuple, structured_tuples
+from .evaluate import CPoly, MatTuple, eval_poly
 from .linalg import QVector, rank_det_kernel, rational_roots
+from .lowrank import candidate_tuples
 from .poly import NcPoly, Word, deglex_key
 
 
@@ -531,9 +532,7 @@ def _separating_point(
     d = p.d
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
-        candidates = structured_tuples(d, n)
-        candidates.extend(random_tuple(rng, n, d) for _ in range(samples_per_size))
-        for point in candidates:
+        for point in candidate_tuples(d, n, samples_per_size, rng):
             for vanishing, first in (("p", p), ("q", q)):
                 for v in rank_det_kernel(eval_poly(first, point)).kernel:
                     values = checks.try_candidate(checks.assoc_no, p, q, point, v, vanishing)

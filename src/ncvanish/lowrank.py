@@ -397,6 +397,12 @@ def lowrank_search(f: NcPoly, n: int, cfg: SearchConfig) -> SearchResult:
     )
 
 
+def candidate_tuples(d: int, n: int, samples: int, rng: random.Random) -> List[MatTuple]:
+    """The exact n x n tuples an exact search tries, in order: the structured
+    ones, then `samples` seeded random ones."""
+    return structured_tuples(d, n) + [random_tuple(rng, n, d) for _ in range(samples)]
+
+
 def rank_profile(
     f: NcPoly, n_range: Sequence[int], samples: int = 20, seed: int = 0
 ) -> Dict[int, Tuple[int, MatTuple]]:
@@ -405,9 +411,7 @@ def rank_profile(
     bound on the minimum rank, nothing more; the tuple is its evidence."""
     out: Dict[int, Tuple[int, MatTuple]] = {}
     for n in n_range:
-        rng = random.Random(f"{seed}:{n}")
-        candidates = structured_tuples(f.d, n)
-        candidates.extend(random_tuple(rng, n, f.d) for _ in range(samples))
+        candidates = candidate_tuples(f.d, n, samples, random.Random(f"{seed}:{n}"))
         out[n] = min(((rank(eval_poly(f, point)), point) for point in candidates),
                      key=lambda pair: pair[0])
     return out
