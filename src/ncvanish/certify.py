@@ -637,7 +637,7 @@ def in_univariate_subalgebra(
     if f.d != g.d:
         raise ValueError("generators and target must share the variable count")
     try:
-        powers = checks.inner_powers(f, g)
+        powers = list(checks.inner_powers(f, g))
     except checks.CheckFailed as exc:
         raise ResourceCapError(str(exc)) from exc
     remainder = dict(g.terms)

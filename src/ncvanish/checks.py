@@ -23,7 +23,7 @@ symbolic expansion of `pi_test`, because the expansion is their proof.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .evaluate import (
     MatTuple,
@@ -197,28 +197,31 @@ def weak_pairings(
 # ---------------------------------------------------------------------------
 
 
-def inner_powers(inner: NcPoly, target: NcPoly) -> List[NcPoly]:
-    """inner^0 .. inner^m, m = deg target // deg inner (0 for a constant
-    inner or target): inner^i has lead word lead(inner)^i, so no higher
-    power can reach the target.  A power whose term-count bound (and work),
-    the previous power's term count times inner's, exceeds MAX_PARSE_TERMS
-    is refused."""
-    m = int(target.degree) // int(inner.degree) if min(inner.degree, target.degree) > 0 else 0
-    powers = [NcPoly.one(target.d)]
-    while len(powers) <= m:
-        bound = len(powers[-1].terms) * len(inner.terms)
-        _require(bound <= MAX_PARSE_TERMS,
-                 f"term-count bound of inner^{len(powers)} exceeds MAX_PARSE_TERMS = {MAX_PARSE_TERMS}")
-        powers.append(powers[-1] * inner)
-    return powers
+def _top_power(inner: NcPoly, target: NcPoly) -> int:
+    """m = deg target // deg inner (0 for a constant inner or target): inner^i
+    has lead word lead(inner)^i, so no higher power can reach the target."""
+    return int(target.degree) // int(inner.degree) if min(inner.degree, target.degree) > 0 else 0
+
+
+def inner_powers(inner: NcPoly, target: NcPoly) -> Iterator[NcPoly]:
+    """inner^0 .. inner^m (`_top_power`), one at a time.  A power whose
+    term-count bound (and work), the previous power's term count times
+    inner's, exceeds MAX_PARSE_TERMS is refused."""
+    power = NcPoly.one(target.d)
+    yield power
+    for i in range(1, _top_power(inner, target) + 1):
+        _require(len(power.terms) * len(inner.terms) <= MAX_PARSE_TERMS,
+                 f"term-count bound of inner^{i} exceeds MAX_PARSE_TERMS = {MAX_PARSE_TERMS}")
+        power = power * inner
+        yield power
 
 
 def composition(inner: NcPoly, target: NcPoly, coefficients: Sequence[Fraction]) -> None:
     """target = sum of coefficients[i] * inner**i, i <= m (`inner_powers`)."""
-    powers = inner_powers(inner, target)
-    _require(len(coefficients) <= len(powers),
-             f"{len(coefficients)} coefficients where m + 1 = {len(powers)} powers reach the target")
-    total = _total((c * p for c, p in zip(coefficients, powers)), target.d)
+    count = _top_power(inner, target) + 1
+    _require(len(coefficients) <= count,
+             f"{len(coefficients)} coefficients where m + 1 = {count} powers reach the target")
+    total = _total((c * p for c, p in zip(coefficients, inner_powers(inner, target))), target.d)
     _require(total == target, "polynomial in the inner function misses the target")
 
 

@@ -1,7 +1,9 @@
 """Evaluation of noncommutative polynomials on square matrix tuples.
 
 The substitution x_i -> X_i extends to the unique unital homomorphism into
-n-by-n rational matrices; everything here is exact.  Identity testing on a
+n-by-n rational matrices; everything here is exact.  Every evaluator, the
+exact, vector, symbolic and (in `lowrank`) float ones, builds its word values
+with the one sorted prefix walk of `prefix_products`.  Identity testing on a
 full matrix level (does f vanish on all n-by-n tuples?) is decided
 symbolically by evaluating on generic matrices whose entries are independent
 commuting indeterminates.  One expansion serves both answers: `pi_test`
@@ -18,13 +20,15 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .linalg import QMatrix, QVector, rank_det_kernel
 from .poly import NcPoly, Word, commutator
 
 MAX_FACTORIAL_DEGREE = 8
 PI_MAX_OPS = 10_000_000  # monomial products of one symbolic identity test
+
+T = TypeVar("T")
 
 
 class ResourceCapError(RuntimeError):
@@ -93,7 +97,11 @@ class MatTuple:
     @staticmethod
     def load(path: str) -> "MatTuple":
         with open(path, "r", encoding="utf-8") as fh:
-            return MatTuple.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nesting too deep to decode") from None
+        return MatTuple.from_json(data)
 
 
 def direct_sum(a: MatTuple, b: MatTuple) -> MatTuple:
@@ -119,54 +127,60 @@ def direct_sum(a: MatTuple, b: MatTuple) -> MatTuple:
 # ---------------------------------------------------------------------------
 
 
+def prefix_products(words: Iterable[Word], unit: T, step: Callable[[T, int], T]) -> Dict[Word, T]:
+    """Value of every word, built from `unit` by `step(value, letter)` one
+    letter at a time, left to right.
+
+    In sorted order the words sharing a prefix are consecutive, so a stack
+    of the current word's prefix values, cut to the length it shares with
+    the next word, steps each distinct prefix once and keeps only values a
+    later word starts from.
+    """
+    ordered = sorted(words)
+    values: Dict[Word, T] = {}
+    stack = [unit]
+    for word, following in zip(ordered, ordered[1:] + [()]):
+        keep = next((k for k, (a, b) in enumerate(zip(word, following)) if a != b),
+                    min(len(word), len(following)))
+        value = stack[-1]
+        for k in range(len(stack) - 1, len(word)):
+            value = step(value, word[k])
+            if k < keep:
+                stack.append(value)
+        values[word] = value
+        del stack[keep + 1:]
+    return values
+
+
 def eval_poly(f: NcPoly, point: MatTuple) -> QMatrix:
     """Value of the substitution homomorphism at the given tuple.
 
-    Word prefixes are cached: w(X) applies letters left to right from the
-    longest cached prefix, so words sharing a prefix share the partial
-    product.
+    w(X) applies the letters of w left to right (`prefix_products`), so
+    words sharing a prefix share the partial product; the terms are summed
+    in `f.terms` order.
     """
     if f.d != point.d:
         raise ValueError(f"variable count mismatch: polynomial {f.d}, tuple {point.d}")
-    cache: Dict[Word, QMatrix] = {(): QMatrix.identity(point.n)}
-    result = QMatrix.zeros(point.n, point.n)
-    for word, coeff in f.terms.items():
-        end = len(word)
-        value = cache.get(word)
-        while value is None:
-            end -= 1
-            value = cache.get(word[:end])
-        for k in range(end, len(word)):
-            value = value @ point[word[k] - 1]
-            cache[word[:k + 1]] = value
-        result = result + coeff * value
-    return result
+    values = prefix_products(f.terms, QMatrix.identity(point.n),
+                             lambda value, letter: value @ point[letter - 1])
+    terms = (coeff * values[word] for word, coeff in f.terms.items())
+    return sum(terms, QMatrix.zeros(point.n, point.n))
 
 
 def eval_poly_vector(f: NcPoly, point: MatTuple, v: QVector) -> QVector:
     """f(X) @ v computed word by word; avoids full matrix products.
 
-    Word suffixes are cached: w(X)v applies letters right to left from the
-    longest cached suffix, so words sharing a suffix share the partial
-    product.
+    w(X)v applies the letters of w right to left, as `prefix_products` of
+    the reversed words, so words sharing a suffix share the partial product.
     """
     if f.d != point.d:
         raise ValueError(f"variable count mismatch: polynomial {f.d}, tuple {point.d}")
     if len(v) != point.n:
         raise ValueError("vector length must match matrix size")
-    cache: Dict[Word, QVector] = {(): v}
-    result = QVector.zero(point.n)
-    for word, coeff in f.terms.items():
-        start = 0
-        value = cache.get(word)
-        while value is None:
-            start += 1
-            value = cache.get(word[start:])
-        for k in range(start - 1, -1, -1):
-            value = point[word[k] - 1] @ value
-            cache[word[k:]] = value
-        result = result + coeff * value
-    return result
+    values = prefix_products((word[::-1] for word in f.terms), v,
+                             lambda value, letter: point[letter - 1] @ value)
+    terms = (coeff * values[word[::-1]] for word, coeff in f.terms.items())
+    return sum(terms, QVector.zero(point.n))
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +371,7 @@ def _generic_matrices(n: int, d: int) -> List[List[List[CPoly]]]:
     return mats
 
 
-def _cpoly_mat_mul(
-    a: List[List[CPoly]], b: List[List[CPoly]], cap: int, count: List[int]
-) -> List[List[CPoly]]:
+def _cpoly_mat_mul(a: List[List[CPoly]], b: List[List[CPoly]], count: List[int]) -> List[List[CPoly]]:
     n = len(a)
     out = [[CPoly() for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -367,55 +379,42 @@ def _cpoly_mat_mul(
             acc = CPoly()
             for k in range(n):
                 count[0] += len(a[i][k].terms) * len(b[k][j].terms)
-                if count[0] > cap:
+                if count[0] > PI_MAX_OPS:
                     raise ResourceCapError(
-                        f"symbolic identity test exceeded {cap} monomial products"
+                        f"symbolic identity test exceeded {PI_MAX_OPS} monomial products"
                     )
                 acc = acc + a[i][k] * b[k][j]
             out[i][j] = acc
     return out
 
 
-def _nonzero_entry(f: NcPoly, n: int, max_ops: int) -> Optional[CPoly]:
+def _nonzero_entry(f: NcPoly, n: int) -> Optional[CPoly]:
     """First nonzero entry, in row-major order, of f expanded on generic
     n-by-n matrices; None when every entry is zero.  Raises
-    ResourceCapError when the expansion exceeds max_ops monomial products.
+    ResourceCapError when the expansion exceeds PI_MAX_OPS monomial products.
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    if f.is_zero():
-        return None
     generic = _generic_matrices(n, f.d)
-    identity = [
-        [CPoly.constant(1) if i == j else CPoly() for j in range(n)] for i in range(n)
-    ]
+    identity = [[CPoly.constant(int(i == j)) for j in range(n)] for i in range(n)]
     count = [0]
-    cache: Dict[Word, List[List[CPoly]]] = {(): identity}
-
-    def word_matrix(word: Word) -> List[List[CPoly]]:
-        if word in cache:
-            return cache[word]
-        prev = word_matrix(word[:-1])
-        value = _cpoly_mat_mul(prev, generic[word[-1] - 1], max_ops, count)
-        cache[word] = value
-        return value
-
-    total = [[CPoly() for _ in range(n)] for _ in range(n)]
-    for word, coeff in f.terms.items():
-        wm = word_matrix(word)
-        for i in range(n):
-            for j in range(n):
-                total[i][j] = total[i][j] + wm[i][j] * coeff
-    return next((entry for row in total for entry in row if not entry.is_zero()), None)
+    values = prefix_products(
+        f.terms, identity, lambda value, letter: _cpoly_mat_mul(value, generic[letter - 1], count)
+    )
+    entries = (
+        sum((values[word][i][j] * coeff for word, coeff in f.terms.items()), CPoly())
+        for i in range(n) for j in range(n)
+    )
+    return next((entry for entry in entries if not entry.is_zero()), None)
 
 
-def pi_test(f: NcPoly, n: int, max_ops: int = PI_MAX_OPS) -> bool:
+def pi_test(f: NcPoly, n: int) -> bool:
     """Does f vanish identically on all n-by-n matrix tuples?
 
     Decided exactly by expanding f on generic matrices.  Raises
-    ResourceCapError when the expansion exceeds max_ops monomial products.
+    ResourceCapError when the expansion exceeds PI_MAX_OPS monomial products.
     """
-    return _nonzero_entry(f, n, max_ops) is None
+    return _nonzero_entry(f, n) is None
 
 
 def _fix(
@@ -442,7 +441,7 @@ def nonvanishing_point(f: NcPoly, n: int) -> Optional[MatTuple]:
     c that fails makes (entry - c) a factor of P, so at most deg values
     fail.  Entries P does not use are 0.
     """
-    entry = _nonzero_entry(f, n, PI_MAX_OPS)
+    entry = _nonzero_entry(f, n)
     if entry is None:
         return None
     terms, values = entry.terms, {}

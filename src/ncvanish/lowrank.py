@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checks
 from .checks import self_check
-from .evaluate import MatTuple, eval_poly, random_tuple, reference_poly, structured_tuples
+from .evaluate import MatTuple, eval_poly, prefix_products, random_tuple, reference_poly, structured_tuples
 from .linalg import QMatrix, QVector, rank, rational_reconstruct, solve_linear
 from .poly import NcPoly
 
@@ -94,21 +94,14 @@ def _eval_float_batch(f: NcPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
     """Evaluate f on a batch of float tuples.
 
     Each coordinate is a (B, n, n) stack; the result is the (B, n, n) stack
-    of values.  Word values share a prefix cache across the support.
+    of values.  Word values come from one prefix walk over the support
+    (`prefix_products`) and are summed in `f.terms` order.
     """
     batch, n = mats[0].shape[0], mats[0].shape[1]
     eye = np.broadcast_to(np.eye(n), (batch, n, n))
-    cache: Dict[tuple, np.ndarray] = {(): eye}
-
-    def word_value(word: tuple) -> np.ndarray:
-        if word not in cache:
-            cache[word] = word_value(word[:-1]) @ mats[word[-1] - 1]
-        return cache[word]
-
-    out = np.zeros((batch, n, n))
-    for word, coeff in f.terms.items():
-        out += float(coeff) * word_value(word)
-    return out
+    values = prefix_products(f.terms, eye, lambda value, letter: value @ mats[letter - 1])
+    terms = (float(coeff) * values[word] for word, coeff in f.terms.items())
+    return sum(terms, np.zeros((batch, n, n)))
 
 
 def eval_poly_float(f: NcPoly, point: FMatTuple) -> np.ndarray:

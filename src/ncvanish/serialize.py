@@ -57,7 +57,10 @@ def save_document(doc: dict, path: str) -> None:
 
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nesting too deep to decode") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError("not a certificate document")
     return doc

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from ncvanish import checks
 from ncvanish.certify import (
     CompositionCoefficients,
     CompositionNotMember,
@@ -360,6 +362,22 @@ def test_composition_constant_edge_cases():
     # constant inner element only reaches constants
     res = in_univariate_subalgebra(parse("x1", 1), parse("2", 1), seed=0)
     assert isinstance(res, CompositionNotMember)
+
+
+def test_composition_checkers_stream_their_powers():
+    # x1^0 .. x1^2000 held at once as separate words take about 16 MB
+    f, member, other = parse("x1", 2), parse("x1^2000 + 3*x1", 2), parse("x1^2000 + x2", 2)
+    coefficients = [Fraction(0)] * 2001
+    coefficients[1], coefficients[2000] = Fraction(3), Fraction(1)
+    functional = in_univariate_subalgebra(other, f).functional
+    tracemalloc.start()
+    try:
+        checks.composition(f, member, coefficients)
+        checks.composition_not_member(f, other, functional)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_composition_random_round_trips():

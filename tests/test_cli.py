@@ -225,6 +225,25 @@ def test_verify_cert_on_garbage_file(tmp_path):
     assert run(["verify-cert", "missing.json"]) == 1
 
 
+def test_deeply_nested_json_fails_in_one_line(tmp_path, capsys):
+    # 3,000 nested arrays are deeper than the JSON decoder's recursion limit
+    (tmp_path / "deep.json").write_text("[" * 3000)
+    for argv in (["verify-cert", "deep.json"],
+                 ["eval", "-d", "1", "-f", "x1", "--point", "deep.json"],
+                 ["classify", "-d", "1", "-f", "x1", "-g", "1", "--point", "deep.json"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nesting" in err and err.count("\n") == 1
+
+
+def test_identity_of_long_words_verifies(tmp_path, capsys):
+    # each word is longer than the interpreter's recursion limit
+    assert run(["pi", "-d", "2", "-f", "x1^1000*x2 - x2*x1^1000", "-n", "1"]) == 0
+    capsys.readouterr()
+    assert run(["verify-cert", "pi.cert.json"]) == 0
+    assert capsys.readouterr().out.startswith("VERIFIED")
+
+
 def test_assoc_unknown_exit_code(tmp_path):
     rc = run(
         ["assoc", "-d", "2", "-p", "x1*x2+1", "-q", "x2*x1+1",

@@ -1,8 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from ncvanish import evaluate
 from ncvanish.evaluate import (
     CPoly,
     MatTuple,
@@ -13,12 +16,14 @@ from ncvanish.evaluate import (
     eval_poly_vector,
     nonvanishing_point,
     pi_test,
+    prefix_products,
     random_tuple,
     random_vector,
     standard_poly,
     weyl_pair,
 )
 from ncvanish.linalg import QMatrix, QVector
+from ncvanish.lowrank import FMatTuple, eval_poly_float
 from ncvanish.poly import NcPoly, commutator, parse
 
 from conftest import random_poly
@@ -53,8 +58,31 @@ def test_long_words_evaluate():
     f = parse("x1^3000 - x2*x1^2999", 2)
     X = MatTuple([QMatrix([[0, 1], [1, 0]]), QMatrix([[2, 0], [0, 3]])])
     v = QVector([1, 5])
-    assert eval_poly(f, X) == QMatrix([[1, -2], [-3, 1]])
-    assert eval_poly_vector(f, X, v) == eval_poly(f, X) @ v
+    tracemalloc.start()
+    try:
+        value = eval_poly(f, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # only the prefixes a later word starts from are kept, not every prefix
+    assert peak < 8 * 2**20
+    assert value == QMatrix([[1, -2], [-3, 1]])
+    assert eval_poly_vector(f, X, v) == value @ v
+    float_point = FMatTuple([[[0, 1], [1, 0]], [[2, 0], [0, 3]]])
+    assert np.array_equal(eval_poly_float(f, float_point), [[1, -2], [-3, 1]])
+    assert pi_test(parse("x1^3000*x2 - x2*x1^3000", 2), 1)
+
+
+def test_prefix_products_steps_each_distinct_prefix_once():
+    words = [(1, 2, 1), (1, 2), (2,), (1, 2, 2), (), (2, 1, 1)]
+    stepped = []
+
+    def step(value, letter):
+        stepped.append(value + (letter,))
+        return value + (letter,)
+
+    assert prefix_products(words, (), step) == {word: word for word in words}
+    assert sorted(stepped) == sorted({w[:k] for w in words for k in range(1, len(w) + 1)})
 
 
 def test_direct_sum_blocks():
@@ -115,9 +143,10 @@ def test_nonvanishing_point():
     assert nonvanishing_point(parse("x1^2 - x1", 1), 1) == MatTuple([QMatrix([[2]])])
 
 
-def test_pi_test_resource_cap():
+def test_pi_test_resource_cap(monkeypatch):
+    monkeypatch.setattr(evaluate, "PI_MAX_OPS", 10)
     with pytest.raises(ResourceCapError):
-        pi_test(standard_poly(4), 3, max_ops=10)
+        pi_test(standard_poly(4), 3)
 
 
 def test_mat_tuple_json_round_trip(tmp_path):
