@@ -25,13 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import checks
 from .checks import InternalInconsistencyError, self_check
-from .evaluate import (
-    MatTuple,
-    ResourceCapError,
-    eval_poly,
-    eval_poly_vector,
-    random_tuple,
-)
+from .evaluate import MatTuple, ResourceCapError, eval_poly, random_tuple
 from .linalg import QMatrix, QVector, rank_det_kernel, rational_roots
 from .poly import NcPoly, Word, deglex_key, words_of_length, words_up_to
 
@@ -66,8 +60,6 @@ class DirectionalWitness:
     KIND = "left_witness"
     point: MatTuple
     vector: QVector
-    f_values: Tuple[QVector, ...]
-    g_value: QVector
 
 
 @dataclass(frozen=True)
@@ -84,8 +76,6 @@ class MatrixWitness:
 
     KIND = "hom_witness"
     point: MatTuple
-    f_values: Tuple[QMatrix, ...]
-    g_value: QMatrix
 
 
 @dataclass(frozen=True)
@@ -126,8 +116,6 @@ class WeakWitness:
     point: MatTuple
     left: QVector
     right: QVector
-    f_values: Tuple[Fraction, ...]
-    g_value: Fraction
 
 
 @dataclass(frozen=True)
@@ -146,7 +134,6 @@ class EigenWitness:
     point: MatTuple
     vector: QVector
     eigenvalue: Fraction
-    g_value: QVector
 
 
 @dataclass(frozen=True)
@@ -404,8 +391,8 @@ def left_ideal_membership(
 
     basis = [w for w in words_up_to(d, delta) if w not in rref]
     point, vector, _ = _shift_matrices(rref, d, basis)
-    f_values, g_value = self_check(checks.left_witness, f_list, g, point, vector)
-    return DirectionalWitness(point, vector, f_values, g_value)
+    self_check(checks.left_witness, f_list, g, point, vector)
+    return DirectionalWitness(point, vector)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +466,8 @@ def hom_ideal_membership(
         )
     basis = [w for w in words_up_to(d, delta) if w not in rref]
     point, _, _ = _shift_matrices(rref, d, basis)
-    f_values, g_value = self_check(checks.hom_witness, f_list, g, point)
-    return MatrixWitness(point, f_values, g_value)
+    self_check(checks.hom_witness, f_list, g, point)
+    return MatrixWitness(point)
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +583,8 @@ def span_membership(
     suffixes = sorted({w[k:] for w in phi.terms for k in range(len(w) + 1)}, key=deglex_key)
     point, right, _ = _shift_matrices(WordRREF(), d, suffixes)
     left = QVector([phi.coeff(w) for w in suffixes])
-    values = [eval_poly_vector(p, point, right) for p in (*f_list, g)]
-    f_values, g_value = self_check(checks.weak_pairings, left, values[:-1], values[-1])
-    return WeakWitness(point, left, right, f_values, g_value)
+    self_check(checks.span_witness, f_list, g, point, left, right)
+    return WeakWitness(point, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +660,6 @@ def _eigen_witness_search(g: NcPoly, f: NcPoly, seed: int) -> Optional[EigenWitn
             for lam in rational_roots(_char_poly(fx)):
                 shifted = fx - lam * QMatrix.identity(n)
                 for v in rank_det_kernel(shifted).kernel:
-                    g_value = checks.try_candidate(checks.eigen_witness, f, g, point, v, lam)
-                    if g_value is not None:
-                        return EigenWitness(point, v, lam, g_value)
+                    if checks.try_candidate(checks.eigen_witness, f, g, point, v, lam):
+                        return EigenWitness(point, v, lam)
     return None

@@ -2,12 +2,15 @@
 
 A checker takes the claim of a certificate as decoded objects (polynomials,
 matrix tuples, vectors) and raises CheckFailed naming the first part of the
-claim that does not hold.  Witness checkers return the values a document
-stores at the witness: an engine stores what its check computed, and
-`serialize.verify_certificate` compares the stored values with the values
-its own run of the checker returns.  Engines run the checker of every
-certificate they build, through `self_check`, or as the test that accepts
-a search candidate (eigenvector and separating-point witnesses).
+claim that does not hold.  A witness is its point and vectors (and an
+eigenvalue): every value at them follows, so its checker computes them and
+returns nothing, and a witness document stores none of them.  Only the
+checkers of value claims return what they computed (`classification`'s
+dets, traces and ranks, `reference_witnesses`' ranks), because the stored
+values are the answer itself; `serialize.verify_certificate` compares them
+with the document's.  Engines run the checker of every certificate they
+build, through `self_check`, or as the test that accepts a search candidate
+(eigenvector and separating-point witnesses, `try_candidate`).
 
 Checkers use polynomial arithmetic, exact linear algebra and evaluation
 only; nothing here imports an engine or draws a random number.  Kinds that
@@ -23,7 +26,7 @@ symbolic expansion of `pi_test`, because the expansion is their proof.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .evaluate import (
     MatTuple,
@@ -61,14 +64,15 @@ def self_check(checker: Callable, *args):
         raise InternalInconsistencyError(f"constructed certificate failed its check: {exc}") from exc
 
 
-def try_candidate(checker: Callable, *args):
-    """Run `checker` on a search candidate.  None when the candidate
+def try_candidate(checker: Callable, *args) -> bool:
+    """Run `checker` on a search candidate.  False when the candidate
     separates nothing, which only means trying the next one; any other
     failure can only come from a bug."""
     try:
-        return checker(*args)
+        checker(*args)
+        return True
     except NotSeparated:
-        return None
+        return False
     except CheckFailed as exc:
         raise InternalInconsistencyError(f"search candidate failed its check: {exc}") from exc
 
@@ -92,11 +96,10 @@ def _product(unit: Fraction, factors: Sequence[NcPoly], d: int) -> NcPoly:
     return product
 
 
-def _separates(f_values: Sequence, g_value, is_zero: Callable, where: str):
+def _separates(f_values: Sequence, g_value, is_zero: Callable, where: str) -> None:
     for i, value in enumerate(f_values):
         _require(is_zero(value), f"generator {i} is nonzero {where}")
     _require(not is_zero(g_value), f"target also vanishes {where}")
-    return tuple(f_values), g_value
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +114,9 @@ def left_combination(gens: Sequence[NcPoly], target: NcPoly, cofactors: Sequence
     _require(total == target, "sum of cofactor products misses the target")
 
 
-def left_witness(
-    gens: Sequence[NcPoly], target: NcPoly, point: MatTuple, vector: QVector
-) -> Tuple[Tuple[QVector, ...], QVector]:
+def left_witness(gens: Sequence[NcPoly], target: NcPoly, point: MatTuple, vector: QVector) -> None:
     """Directional zero: f_j(X)v = 0 for every generator, g(X)v != 0."""
-    return _separates(
+    _separates(
         [eval_poly_vector(f, point, vector) for f in gens],
         eval_poly_vector(target, point, vector),
         QVector.is_zero,
@@ -132,11 +133,9 @@ def hom_combination(
     _require(total == target, "two-sided combination misses the target")
 
 
-def hom_witness(
-    gens: Sequence[NcPoly], target: NcPoly, point: MatTuple
-) -> Tuple[Tuple[QMatrix, ...], QMatrix]:
+def hom_witness(gens: Sequence[NcPoly], target: NcPoly, point: MatTuple) -> None:
     """Every f_j(X) is the zero matrix while g(X) is not."""
-    return _separates(
+    _separates(
         [eval_poly(f, point) for f in gens], eval_poly(target, point), QMatrix.is_zero, "at the point"
     )
 
@@ -182,13 +181,16 @@ def span_coefficients(gens: Sequence[NcPoly], target: NcPoly, coefficients: Sequ
     _require(total == target, "linear combination misses the target")
 
 
-def weak_pairings(
-    left: QVector, f_vectors: Sequence[QVector], g_vector: QVector
-) -> Tuple[Tuple[Fraction, ...], Fraction]:
-    """Weak zero from the values f_j(X)v and g(X)v: u^t f_j(X) v = 0 for
-    every generator, u^t g(X) v != 0."""
-    return _separates(
-        [left.dot(w) for w in f_vectors], left.dot(g_vector), lambda s: s == 0, "in the weak pairing"
+def span_witness(
+    gens: Sequence[NcPoly], target: NcPoly, point: MatTuple, left: QVector, right: QVector
+) -> None:
+    """Weak zero: u^t f_j(X) v = 0 for every generator, u^t g(X) v != 0,
+    with u = left and v = right."""
+    _separates(
+        [left.dot(eval_poly_vector(f, point, right)) for f in gens],
+        left.dot(eval_poly_vector(target, point, right)),
+        lambda s: s == 0,
+        "in the weak pairing",
     )
 
 
@@ -227,9 +229,8 @@ def composition(inner: NcPoly, target: NcPoly, coefficients: Sequence[Fraction])
 
 def eigen_witness(
     inner: NcPoly, target: NcPoly, point: MatTuple, vector: QVector, eigenvalue: Fraction
-) -> QVector:
-    """inner(X)v = eigenvalue * v while target(X)v leaves the line of v;
-    returns target(X)v."""
+) -> None:
+    """inner(X)v = eigenvalue * v while target(X)v leaves the line of v."""
     _require(not vector.is_zero(), "witness vector is zero")
     _require(
         eval_poly_vector(inner, point, vector) == eigenvalue * vector,
@@ -242,7 +243,6 @@ def eigen_witness(
     )
     if parallel:
         raise NotSeparated("target value is parallel to the vector, witness shows nothing")
-    return g_value
 
 
 def composition_not_member(inner: NcPoly, target: NcPoly, functional: NcPoly) -> None:
@@ -298,11 +298,9 @@ def assoc_yes(p: NcPoly, q: NcPoly, p_mat: Mat2, q_mat: Mat2, p_inv: Mat2, q_inv
         )
 
 
-def assoc_no(
-    p: NcPoly, q: NcPoly, point: MatTuple, vector: QVector, vanishing: str
-) -> Tuple[QVector, QVector]:
+def assoc_no(p: NcPoly, q: NcPoly, point: MatTuple, vector: QVector, vanishing: str) -> None:
     """A directional zero of p ("p") or q ("q") that the other misses;
-    stable associates share directional zeros.  Returns (p(X)v, q(X)v)."""
+    stable associates share directional zeros."""
     _require(not vector.is_zero(), "witness vector is zero")
     p_value = eval_poly_vector(p, point, vector)
     q_value = eval_poly_vector(q, point, vector)
@@ -310,7 +308,6 @@ def assoc_no(
     _require(killed.is_zero(), f"claimed vanishing polynomial {vanishing} does not kill the vector")
     if alive.is_zero():
         raise NotSeparated("both polynomials kill the vector; nothing is separated")
-    return p_value, q_value
 
 
 def _factors_of(f: NcPoly, factors: Sequence[NcPoly], what: str) -> None:
@@ -344,23 +341,21 @@ def detzero_no(
     refutations: Sequence[
         Tuple[int, Sequence[NcPoly], NcPoly, Sequence[Tuple[MatTuple, QVector, str]]]
     ],
-) -> List[List[Tuple[QVector, QVector]]]:
+) -> None:
     """Every generator has a factor separated, by one directional zero per
-    factor of the target, from all of the target's factors.  Returns the
-    (p(X)v, q(X)v) values of every separating witness."""
+    factor of the target, from all of the target's factors."""
     _factors_of(target, g_factors, "g_factors")
-    values = []
     for j, f_factors, refuted, witnesses in refutations:
         _factors_of(gens[j], f_factors, f"recorded factors of generator {j}")
         _require(refuted in f_factors, f"refuted factor is not a factor of generator {j}")
         _require(len(witnesses) == len(g_factors), f"generator {j} lacks one refutation per factor of g")
         try:
-            values.append([assoc_no(refuted, b, *w) for b, w in zip(g_factors, witnesses)])
+            for b, w in zip(g_factors, witnesses):
+                assoc_no(refuted, b, *w)
         except CheckFailed as exc:
             raise CheckFailed(f"refutation broken: {exc}") from exc
     covered = {j for j, _, _, _ in refutations}
     _require(covered == set(range(len(gens))), "not every generator carries a refutation")
-    return values
 
 
 # ---------------------------------------------------------------------------

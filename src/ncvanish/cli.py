@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import serialize
@@ -200,7 +199,7 @@ def _write_artifacts(
 
 
 def _parse_vector(text: str) -> QVector:
-    return QVector([Fraction(part.strip()) for part in text.split(",")])
+    return QVector([part.strip() for part in text.split(",")])
 
 
 def _gen_problem(args) -> Tuple[dict, Dict[str, str], List[NcPoly], NcPoly]:

@@ -35,6 +35,12 @@ class ResourceCapError(RuntimeError):
     """Raised when a symbolic identity test exceeds its configured budget."""
 
 
+def _is_rows(m) -> bool:
+    """A matrix in JSON form: a list of rows of string or integer entries."""
+    return isinstance(m, list) and all(
+        isinstance(row, list) and all(isinstance(e, (str, int)) for e in row) for row in m)
+
+
 class MatTuple:
     """A d-tuple of n-by-n rational matrices (n = 0 is the empty edge case)."""
 
@@ -82,10 +88,15 @@ class MatTuple:
 
     @staticmethod
     def from_json(data: dict) -> "MatTuple":
-        n, d = data["n"], data["d"]
-        mats = [QMatrix(m) for m in data["matrices"]]
-        tup = MatTuple(mats)
-        if tup.n != n or tup.d != d:
+        """The tuple of its JSON form; keys and types are checked before any
+        matrix is built."""
+        if not (isinstance(data, dict) and isinstance(data.get("n"), int)
+                and isinstance(data.get("d"), int) and isinstance(data.get("matrices"), list)
+                and all(map(_is_rows, data["matrices"]))):
+            raise ValueError("a matrix tuple is an object with integers n and d and matrices "
+                             "given as lists of rows of string or integer entries")
+        tup = MatTuple([QMatrix(m) for m in data["matrices"]])
+        if tup.n != data["n"] or tup.d != data["d"]:
             raise ValueError("matrix tuple header disagrees with matrix shapes")
         return tup
 
@@ -235,19 +246,17 @@ def standard_poly(k: int) -> NcPoly:
     return NcPoly(k, terms)
 
 
-def random_tuple(
-    rng: random.Random, n: int, d: int, k: int = 5, q: int = 1
-) -> MatTuple:
-    """Entries drawn uniformly from {-k..k}/q; the caller owns the rng."""
+def random_tuple(rng: random.Random, n: int, d: int, k: int = 5) -> MatTuple:
+    """Integer entries drawn uniformly from {-k..k}; the caller owns the rng."""
     mats = [
-        QMatrix([[Fraction(rng.randint(-k, k), q) for _ in range(n)] for _ in range(n)])
+        QMatrix([[Fraction(rng.randint(-k, k)) for _ in range(n)] for _ in range(n)])
         for _ in range(d)
     ]
     return MatTuple(mats)
 
 
-def random_vector(rng: random.Random, n: int, k: int = 5, q: int = 1) -> QVector:
-    return QVector([Fraction(rng.randint(-k, k), q) for _ in range(n)])
+def random_vector(rng: random.Random, n: int, k: int = 5) -> QVector:
+    return QVector([Fraction(rng.randint(-k, k)) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from .linalg import QVector, rank_det_kernel, rational_roots
 from .lowrank import candidate_tuples
 from .poly import NcPoly, Word, deglex_key
 
+SOLVE_NODE_CAP = 20_000  # search nodes of one split system; past it the split is incomplete
+
 
 # ---------------------------------------------------------------------------
 # Exact solver for the split systems
@@ -68,7 +70,7 @@ def _resolve_assignment(
 
 
 def _solve_poly_system(
-    equations: List[CPoly], variables: Sequence[int], node_cap: int = 20_000
+    equations: List[CPoly], variables: Sequence[int]
 ) -> Tuple[List[Dict[int, Fraction]], bool]:
     """All rational solutions of a polynomial system, with a completeness
     flag.  Ground field is the rationals: discarding irrational branch roots
@@ -83,7 +85,7 @@ def _solve_poly_system(
 
     while stack:
         nodes += 1
-        if nodes > node_cap:
+        if nodes > SOLVE_NODE_CAP:
             complete = False
             break
         eqs, assign, subst = stack.pop()
@@ -367,8 +369,6 @@ class AssocNo:
     point: MatTuple
     vector: QVector
     vanishing: str  # "p" or "q": whose value kills the vector
-    p_value: QVector
-    q_value: QVector
 
 
 @dataclass(frozen=True)
@@ -535,9 +535,8 @@ def _separating_point(
         for point in candidate_tuples(d, n, samples_per_size, rng):
             for vanishing, first in (("p", p), ("q", q)):
                 for v in rank_det_kernel(eval_poly(first, point)).kernel:
-                    values = checks.try_candidate(checks.assoc_no, p, q, point, v, vanishing)
-                    if values is not None:
-                        return AssocNo(point, v, vanishing, *values)
+                    if checks.try_candidate(checks.assoc_no, p, q, point, v, vanishing):
+                        return AssocNo(point, v, vanishing)
     return None
 
 

@@ -77,6 +77,14 @@ class NcPoly:
         self.terms = clean
         self._hash: Optional[int] = None
 
+    @classmethod
+    def _of(cls, d: int, terms: Dict[Word, Fraction]) -> "NcPoly":
+        """Arithmetic results: `terms` maps tuples of in-range letters to
+        nonzero Fractions, so nothing is re-validated or copied."""
+        p = object.__new__(cls)
+        p.d, p.terms, p._hash = d, terms, None
+        return p
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
@@ -180,13 +188,13 @@ class NcPoly:
                 out[w] = s
             else:
                 out.pop(w, None)
-        return NcPoly(self.d, out)
+        return NcPoly._of(self.d, out)
 
     def __radd__(self, other: object) -> "NcPoly":
         return self.__add__(other)
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly(self.d, {w: -c for w, c in self.terms.items()})
+        return NcPoly._of(self.d, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "NcPoly":
         if isinstance(other, (int, Fraction)):
@@ -201,7 +209,7 @@ class NcPoly:
     def __mul__(self, other: object) -> "NcPoly":
         if isinstance(other, (int, Fraction)):
             c = _as_scalar(other)
-            return NcPoly(self.d, {w: c * v for w, v in self.terms.items()})
+            return NcPoly._of(self.d, {w: c * v for w, v in self.terms.items()} if c else {})
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._check_d(other)
@@ -214,7 +222,7 @@ class NcPoly:
                     out[w] = s
                 else:
                     out.pop(w, None)
-        return NcPoly(self.d, out)
+        return NcPoly._of(self.d, out)
 
     def __rmul__(self, other: object) -> "NcPoly":
         if isinstance(other, (int, Fraction)):

@@ -75,14 +75,9 @@ def test_left_membership_right_multiple_is_refused():
     # x1*x2*x1 + x1 = (x1*x2 + 1)*x1 lies in the right ideal, not the left one
     res = left_ideal_membership([parse("x1*x2 + 1", 2)], parse("x1*x2*x1 + x1", 2))
     assert isinstance(res, DirectionalWitness)
-    v = res.vector
-    # stored values are the directional images f_j(X)v and g(X)v
-    for f, stored in zip([parse("x1*x2 + 1", 2)], res.f_values):
-        assert eval_poly_vector(f, res.point, v) == stored
-        assert stored.is_zero()
-    g_vec = eval_poly_vector(parse("x1*x2*x1 + x1", 2), res.point, v)
-    assert g_vec == res.g_value
-    assert not g_vec.is_zero()
+    # the witness is the point and vector: f(X)v = 0 and g(X)v != 0 there
+    assert eval_poly_vector(parse("x1*x2 + 1", 2), res.point, res.vector).is_zero()
+    assert not eval_poly_vector(parse("x1*x2*x1 + x1", 2), res.point, res.vector).is_zero()
 
 
 def test_left_membership_multi_generator():
@@ -280,13 +275,9 @@ def test_span_membership_weak_witness():
     res = span_membership([parse("x1", 2)], parse("x1*x1", 2), seed=1)
     assert isinstance(res, WeakWitness)
     u, v = res.left, res.right
-    # stored values are the scalars u.f_j(X)v and u.g(X)v
-    for f, stored in zip([parse("x1", 2)], res.f_values):
-        assert u.dot(eval_poly(f, res.point) @ v) == stored
-        assert stored == 0
-    g_scalar = u.dot(eval_poly(parse("x1*x1", 2), res.point) @ v)
-    assert g_scalar == res.g_value
-    assert g_scalar != 0
+    # the witness is the point and the pair (u, v): u.f(X)v = 0, u.g(X)v != 0
+    assert u.dot(eval_poly(parse("x1", 2), res.point) @ v) == 0
+    assert u.dot(eval_poly(parse("x1*x1", 2), res.point) @ v) != 0
 
 
 def test_span_random_round_trips():

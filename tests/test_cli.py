@@ -97,6 +97,21 @@ def test_composition_of_high_degree_is_fast(tmp_path, monkeypatch):
         assert time.perf_counter() - started < 2
 
 
+def test_composition_check_of_high_degree_is_fast(tmp_path):
+    # x1^0..x1^10000 are built one at a time, and products skip the letter
+    # checks of NcPoly(d, terms), which took most of the time
+    coefficients = ["0"] * 10001
+    coefficients[1], coefficients[10000] = "3", "1"
+    doc = {"format": "ncvanish-certificate", "version": 1,
+           "problem": {"d": 2, "inner": "x1", "target": "x1^10000 + 3*x1"},
+           "certificate": {"kind": "composition", "coefficients": coefficients,
+                           "verification": "verified"}}
+    (tmp_path / "comp.json").write_text(json.dumps(doc))
+    started = time.perf_counter()
+    assert run(["verify-cert", "comp.json"]) == 0
+    assert time.perf_counter() - started < 1.5
+
+
 def test_composition_powers_are_bounded(tmp_path, capsys):
     # each power of x1 + x2 doubles its terms: unbounded, both inputs take
     # time growing ~4x per coefficient or degree
@@ -234,6 +249,21 @@ def test_deeply_nested_json_fails_in_one_line(tmp_path, capsys):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nesting" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("point, extra", [
+    ('{"n": 1}', []),
+    ("[1]", []),
+    ('{"n": 1, "d": 1, "matrices": [[[[1]]]]}', []),
+    ('{"n": 1, "d": 1, "matrices": [[["1/0"]]]}', []),
+    ('{"n": 1, "d": 1, "matrices": [[["1"]]]}', ["--left", "1/0"]),
+], ids=["missing-keys", "not-an-object", "nested-entry", "zero-denominator", "vector-zero-denominator"])
+def test_malformed_point_or_vector_fails_in_one_line(tmp_path, capsys, point, extra):
+    (tmp_path / "p.json").write_text(point)
+    command = ["classify", "-g", "1"] if extra else ["eval"]
+    assert run(command + ["-d", "1", "-f", "x1", "--point", "p.json"] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_identity_of_long_words_verifies(tmp_path, capsys):

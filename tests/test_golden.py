@@ -7,6 +7,7 @@ certificate bytes fails here; a change that means to alter a document must
 update its digest and say why.
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -20,7 +21,8 @@ import pytest
 import ncvanish
 from ncvanish import certify, serialize
 from ncvanish.cli import dispatch
-from ncvanish.evaluate import weyl_pair
+from ncvanish.evaluate import MatTuple, eval_poly, eval_poly_vector, weyl_pair
+from ncvanish.linalg import QVector
 from ncvanish.poly import format_poly, parse
 from ncvanish.serialize import (
     encode_certificate,
@@ -72,25 +74,25 @@ CLI_CASES = {
 
 GOLDEN = {
     "assoc": "bda48ca8f7e56ef4ca1b74168c4da139f4acd29c96e84c96a107cb00fff41192",  # assoc_yes
-    "assoc-no": "97ac6c1dff80e562957ed4d3d75084e8edf3f47bd97ed8f39d1c36213bf4985f",  # assoc_no
+    "assoc-no": "aed1cbb77f407a0cd9df1ff63472ddd759e12933452454e68fce98651d094cd7",  # assoc_no
     "assoc-unknown": "180de78221dda556881970d10414098699d3ce03223848629aa20fee42595da8",  # assoc_unknown
     "classify": "92c7d3a40136c07e3a93a294cf19e3b9336aad5245fcc44727eac5f44efd671f",  # classification
-    "composition-witness": "e490afacb6b1b25f8ef20e8353b5115ead9b785e955bc3404ae1a2793796e217",  # composition_witness
+    "composition-witness": "cb0935019abfa3fcfec3f21386c69a00fd54e8e1ca1fe866626c4d4e3d39100d",  # composition_witness
     "detzero": "cb410762c8fc409a54f9dcacb5f013c125dd95a14f36709016bf195639229966",  # detzero_yes
-    "detzero-no": "4f89c79d5c3ec2e31853870b9cb87c74487fda1decc736c1ddb9c23c18788c75",  # detzero_no
+    "detzero-no": "72faa3724ed2273c6e745ace80805ad855d54656222d49ece7c68d78c515d44f",  # detzero_no
     "detzero-unknown": "7cd5b1c40db8d01b68dedab96384b98e245bb3fe29e0affdbb5c9f59fd3a7a8e",  # detzero_unknown
     "eval": "78e44fd293b16fd1df677708a1dc19716be7b856a6dffba28997170d8fce0390",  # eval
     "factor": "8c6e0569031200c483b4fe6e1dc4928017c817c8e3f8967077ae32270a3202cf",  # factorization
     "lowrank": "095335fa46c077113fea2d0e521ef4306a95f78b407908d41c95830aeaf67dc1",  # lowrank_exact
     "lowrank-report": "ea52cbd25a94f7198cee53c72fdc00a0b9565638f5f815bd99b0f2a59e4c7063",  # lowrank_report
     "member-comp": "351107c24a99338752ff8262e63bfe0f97597f55afcf0d409f2945125b9d44ec",  # composition
-    "member-comp-no": "41766afd0249310b90f4c0afb9d500791da4c1ae639b6972fe62be4937c03a12",  # composition_not_member, functional and eigenvector witness
+    "member-comp-no": "4dbc61c964a8b09f335e990287d638e9be179c9cf5d9dbdc5f1a59b16aff3d77",  # composition_not_member, functional and eigenvector witness
     "member-hom": "dcdd97d07b321cc6c8ce159c0a0fb0a0e93bcb46ec4e0c23028d6a58fd950958",  # hom_combination
-    "member-hom-witness": "ffe5818ddf6007123198d3c85b9c29120e211bbea0deaca973948f9fbe586565",  # hom_witness
+    "member-hom-witness": "b7839db0fbbe36dfd875ca95f3db9cfadb5a613c4a88b9fa9ecf31407aba108b",  # hom_witness
     "member-left": "803eb6624adfb55f4dda832032d0694417aa511f324234a122fc3ebdd88eed9a",  # left_combination
-    "member-left-witness": "e9edceb9dd4f294dc1cf6420103c21509ff470a682d340228233fba57f6548fd",  # left_witness
+    "member-left-witness": "98e5c96013d1fdcbf4769f493b5d91d93d84366bf379880ba6371fac524c3346",  # left_witness
     "member-span": "0a45376a293ad1abfb6758e3542f2be704e430199f912096cbd9e6a049b2036b",  # span_coefficients
-    "member-span-witness": "ed8421ad13bcea26d272b0e63815d547da03e6ebaf1d508d69c7f11298d8c3b3",  # span_witness from the separating functional
+    "member-span-witness": "8a282b68e6ce3cfd6fed2607419195ab9f9d287e3541bc9bf41edf402574e4be",  # span_witness from the separating functional
     "member-trace": "96b399551f73b9f21f1beab0a0a24bc8e3f87fcfd26e70551ad416600aa4c329",  # trace_combination
     "member-trace-no": "7d8456b47636ee1b5d4c7a1cfeed53f5cc45e8845ec8b227251b0daa5a54a855",  # trace_not_member
     "paper-witnesses": "d698e8afd073e0a3776146935ba29ef3f3d6d3866ec681651d1e2c630e34e44b",  # reference_witnesses
@@ -179,3 +181,29 @@ def test_verification_loads_only_the_trusted_base(documents, golden_dir):
 @pytest.mark.parametrize("name", sorted(list(CLI_CASES) + ["composition-witness"]))
 def test_golden_digest(documents, name):
     assert documents[name][0] == GOLDEN[name]
+
+
+# digests of witness documents that also stored f_j(X)v and g(X)v, or every
+# f_j(X) and g(X), as documents did before witnesses carried their point only
+STORED_VALUES = {
+    "member-left-witness": "e9edceb9dd4f294dc1cf6420103c21509ff470a682d340228233fba57f6548fd",
+    "member-hom-witness": "ffe5818ddf6007123198d3c85b9c29120e211bbea0deaca973948f9fbe586565",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STORED_VALUES))
+def test_documents_that_store_values_still_verify(documents, tmp_path, name):
+    # fields the verifier does not read are not part of the claim
+    doc = copy.deepcopy(documents[name][1])
+    problem, cert = doc["problem"], doc["certificate"]
+    point = MatTuple.from_json(cert["point"])
+    polys = [parse(p, problem["d"]) for p in problem["generators"] + [problem["target"]]]
+    if "vector" in cert:
+        values = [eval_poly_vector(p, point, QVector(cert["vector"])) for p in polys]
+    else:
+        values = [eval_poly(p, point) for p in polys]
+    cert["f_values"], cert["g_value"] = serialize._json(values[:-1]), serialize._json(values[-1])
+    path = tmp_path / "stored.json"
+    save_document(doc, str(path))
+    assert _digest(path)[0] == STORED_VALUES[name]
+    assert verify_certificate(load_document(str(path))).ok

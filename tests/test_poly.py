@@ -105,6 +105,18 @@ def test_noncommutativity():
     assert commutator(x1, x2) == x1 * x2 - x2 * x1
 
 
+def test_arithmetic_results_are_clean_polynomials():
+    # sums and products skip re-validation, so they must drop exact zeros
+    # themselves; the public constructor still checks every letter
+    rng = random.Random(12)
+    a = random_poly(rng, 2, 3)
+    assert (a - a).terms == {} and (a * 0).terms == {} and (0 * a).is_zero()
+    assert (a * Fraction(1, 2)) * 2 == a == -(-a)
+    assert all(c != 0 for c in (a * a + a).terms.values())
+    with pytest.raises(ValueError):
+        NcPoly(2, {(3,): Fraction(1)})
+
+
 def test_pow():
     rng = random.Random(11)
     a = random_poly(rng, 2, 2)

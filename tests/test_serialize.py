@@ -223,19 +223,22 @@ def test_tampered_witness_rejected(tmp_path):
 
 
 def test_stored_values_compared_as_numbers(tmp_path):
-    gens = [parse("x1*x2 + 1", 2)]
-    target = parse("x1*x2*x1 + x1", 2)
-    res = certify.left_ideal_membership(gens, target)
-    doc = check(gen_problem(gens, target, 2), res, "left_witness", tmp_path)
+    # a value claim stores its answer; the verifier reads it as numbers
+    point = weyl_pair(2)
+    f = parse("x1*x2", 2)
+    problem = {"d": 2, "polynomial": format_poly(f), "point": point.to_json()}
+    value = [[str(e) for e in row] for row in eval_poly(f, point).entries]
+    doc = roundtrip(make_document(problem, {"kind": "eval", "value": value,
+                                            "verification": "verified"}), tmp_path)
 
     def rewrite(entry):  # the same number, not in str(Fraction) form
         value = Fraction(entry)
         return 0 if value == 0 else f"{2 * value.numerator}/{2 * value.denominator}"
 
-    doc["certificate"]["g_value"] = [rewrite(e) for e in doc["certificate"]["g_value"]]
-    assert 0 in doc["certificate"]["g_value"]
+    doc["certificate"]["value"] = [[rewrite(e) for e in row] for row in doc["certificate"]["value"]]
+    assert doc["certificate"]["value"] == [["2/2", 0], [0, 0]]
     assert verify_certificate(doc).ok
-    tampered_fails(doc, lambda d: d["certificate"]["g_value"].__setitem__(0, "x1"))
+    tampered_fails(doc, lambda d: d["certificate"]["value"][0].__setitem__(0, "x1"))
 
 
 def test_tampered_factorization_rejected(tmp_path):
