@@ -340,9 +340,7 @@ def _shift_matrices(
             "unit word reduced to zero although the target did not"
         )
     m = len(basis_words)
-    columns: List[List[List[Fraction]]] = [
-        [[Fraction(0)] * m for _ in range(m)] for _ in range(d)
-    ]
+    columns: List[List[List[Fraction]]] = [[[0] * m for _ in range(m)] for _ in range(d)]
     for w, k in index.items():
         for i in range(d):
             extended: Word = (i + 1,) + w

@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-f", action="append", required=True, help="constraint (repeatable)")
     p.add_argument("-g", required=True, help="test polynomial")
     p.add_argument("--point", required=True, help="matrix tuple JSON file")
-    p.add_argument("--left", help="comma-separated rational row vector")
+    p.add_argument("--left", help="comma-separated rational row vector (read with --right)")
     p.add_argument("--right", help="comma-separated rational column vector")
 
     p = add("member-left", "left ideal membership with certificate")
@@ -227,7 +227,7 @@ def _run_eval(args):
         raise ValueError(f"point has {point.d} coordinates, polynomial expects {args.d}")
     value = eval_poly(f, point)
     problem = {"d": args.d, "polynomial": format_poly(f), "point": point.to_json()}
-    cert = serialize.tagged("eval", value=[[str(e) for e in row] for row in value.entries])
+    cert = serialize.tagged("eval", value=value.to_json())
     print(f"value of {args.f} at the {point.n}x{point.n} tuple:")
     for row in value.entries:
         print("  [" + ", ".join(str(e) for e in row) + "]")
@@ -242,10 +242,15 @@ def _run_classify(args):
         raise ValueError(f"point has {point.d} coordinates, polynomials expect {args.d}")
     u = _parse_vector(args.left) if args.left else None
     v = _parse_vector(args.right) if args.right else None
+    if u is not None and v is None:
+        raise ValueError("--left is read only together with --right")
+    for name, vector in (("--left", u), ("--right", v)):
+        if vector is not None and len(vector) != point.n:
+            raise ValueError(f"{name} has {len(vector)} entries, the point is {point.n}x{point.n}")
     result = classify_point(gens, target, point, u, v)
     problem["point"] = point.to_json()
-    problem["left"] = None if u is None else [str(e) for e in u.entries]
-    problem["right"] = None if v is None else [str(e) for e in v.entries]
+    problem["left"] = None if u is None else u.to_json()
+    problem["right"] = None if v is None else v.to_json()
     memberships = {
         "in_zero": result.in_zero,
         "in_directional": result.in_directional,

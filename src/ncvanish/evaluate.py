@@ -81,9 +81,7 @@ class MatTuple:
         return {
             "n": self.n,
             "d": self.d,
-            "matrices": [
-                [[str(e) for e in row] for row in m.entries] for m in self.matrices
-            ],
+            "matrices": [m.to_json() for m in self.matrices],
         }
 
     @staticmethod
@@ -122,14 +120,8 @@ def direct_sum(a: MatTuple, b: MatTuple) -> MatTuple:
     n, m = a.n, b.n
     out: List[QMatrix] = []
     for ma, mb in zip(a.matrices, b.matrices):
-        entries = [[Fraction(0)] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                entries[i][j] = ma[i][j]
-        for i in range(m):
-            for j in range(m):
-                entries[n + i][n + j] = mb[i][j]
-        out.append(QMatrix(entries))
+        out.append(QMatrix([row + (0,) * m for row in ma.entries]
+                           + [(0,) * n + row for row in mb.entries]))
     return MatTuple(out)
 
 
@@ -207,8 +199,8 @@ def weyl_pair(n: int) -> MatTuple:
     """
     if n < 1:
         raise ValueError("size must be >= 1")
-    x = [[Fraction(1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
-    y = [[Fraction(i if j == i - 1 else 0) for j in range(n)] for i in range(n)]
+    x = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    y = [[i if j == i - 1 else 0 for j in range(n)] for i in range(n)]
     return MatTuple([QMatrix(x), QMatrix(y)])
 
 
@@ -249,14 +241,14 @@ def standard_poly(k: int) -> NcPoly:
 def random_tuple(rng: random.Random, n: int, d: int, k: int = 5) -> MatTuple:
     """Integer entries drawn uniformly from {-k..k}; the caller owns the rng."""
     mats = [
-        QMatrix([[Fraction(rng.randint(-k, k)) for _ in range(n)] for _ in range(n)])
+        QMatrix([[rng.randint(-k, k) for _ in range(n)] for _ in range(n)])
         for _ in range(d)
     ]
     return MatTuple(mats)
 
 
 def random_vector(rng: random.Random, n: int, k: int = 5) -> QVector:
-    return QVector([Fraction(rng.randint(-k, k)) for _ in range(n)])
+    return QVector([rng.randint(-k, k) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------

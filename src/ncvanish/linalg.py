@@ -1,10 +1,17 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices and vectors store Fraction entries and are immutable.  Rank,
-determinant and kernel go through fraction-free (Bareiss) elimination on a
-denominator-cleared integer copy; linear solves use ordinary Gauss-Jordan
-over Fractions.  Pivoting is deterministic everywhere: the first nonzero
-entry in column order wins, so identical inputs give identical outputs.
+Matrices and vectors are immutable and store integer numerators over one
+positive common denominator, in lowest terms (gcd of the denominator and
+every numerator is 1), so equal values have equal storage and `==` and
+`hash` are value equality.  Arithmetic runs on Python ints and skips the
+gcd pass when the denominator is 1, as it is on every integer point.
+Fractions appear only at the boundary: `entries`, indexing, `trace`, `dot`
+and determinants.  String entries are decoded once, at construction, and
+refused past MAX_ENTRY_BITS before they are built.  Rank, determinant and
+kernel come from fraction-free (Bareiss) elimination of the numerators;
+linear solves use ordinary Gauss-Jordan over Fractions.  Pivoting is
+deterministic everywhere: the first nonzero entry in column order wins, so
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -12,152 +19,244 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul, neg, sub
 from typing import List, Optional, Sequence, Tuple, Union
 
+MAX_ENTRY_BITS = 100_000  # numerator or denominator bits of one decoded entry, as poly.MAX_PARSE_BITS
+# decimal digits whose value fits in MAX_ENTRY_BITS bits (log10 2 = 0.30103)
+_MAX_ENTRY_DIGITS = MAX_ENTRY_BITS * 30103 // 100_000
 
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+
+def _decode(text: str) -> Union[int, Fraction]:
+    """The value Fraction(text) reads, refused before it is built when the
+    numerator or denominator Fraction would build has more decimal digits
+    than MAX_ENTRY_BITS bits hold (mantissa digits plus the exponent).  An
+    integer literal goes through int(), which reads a string only where
+    Fraction reads it, and to the same value."""
+    if len(text) <= _MAX_ENTRY_DIGITS:
         try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+            return int(text)
+        except ValueError:
+            pass
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    # ten leading digits of a longer exponent are already past the bound
+    shift = int(exponent[:10]) if exponent.isdecimal() else 0
+    if sum(map(str.isdigit, mantissa)) + shift > _MAX_ENTRY_DIGITS:
+        raise ValueError(f"entry exceeds MAX_ENTRY_BITS = {MAX_ENTRY_BITS}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def rational(value) -> Union[int, Fraction]:
+    """An entry or scalar as an int or a Fraction; a string is read as
+    Fraction(text) reads it, within MAX_ENTRY_BITS."""
+    if isinstance(value, str):
+        return _decode(value)
+    if isinstance(value, (int, Fraction)):
+        return value
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
 
 
-class QVector:
-    """Immutable rational vector."""
+def _common(values: Sequence[Union[int, Fraction]]) -> Tuple[Tuple[int, ...], int]:
+    """Numerators over the least common denominator, which is already in
+    lowest terms: a prime power dividing it exactly divides one entry's
+    denominator, and that entry's numerator is prime to it."""
+    den = math.lcm(*[e.denominator for e in values])
+    if den == 1:
+        return tuple([e.numerator for e in values]), 1
+    return tuple([e.numerator * (den // e.denominator) for e in values]), den
 
-    __slots__ = ("entries",)
+
+def _fraction(numerator: int, den: int) -> Fraction:
+    return Fraction(numerator) if den == 1 else Fraction(numerator, den)
+
+
+def _check_length(a: Sequence, b: Sequence) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+
+
+class QVector:
+    """Immutable rational vector: numerators `num` over the denominator `den`."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, entries: Sequence):
-        self.entries: Tuple[Fraction, ...] = tuple(_frac(e) for e in entries)
+        self.num, self.den = _common([rational(e) for e in entries])
+
+    @classmethod
+    def _of(cls, num: Tuple[int, ...], den: int) -> "QVector":
+        """num / den for a positive den, brought to lowest terms."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = tuple([a // g for a in num]), den // g
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
 
     @staticmethod
     def zero(n: int) -> "QVector":
-        return QVector([Fraction(0)] * n)
+        return QVector._of((0,) * n, 1)
 
     @staticmethod
     def unit(n: int, i: int) -> "QVector":
-        entries = [Fraction(0)] * n
-        entries[i] = Fraction(1)
-        return QVector(entries)
+        num = [0] * n
+        num[i] = 1
+        return QVector._of(tuple(num), 1)
+
+    @property
+    def entries(self) -> Tuple[Fraction, ...]:
+        den = self.den
+        return tuple(_fraction(a, den) for a in self.num)
+
+    def to_json(self) -> List[str]:
+        """Entries as the strings str(Fraction) writes."""
+        return list(map(str, self.num if self.den == 1 else self.entries))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     def __iter__(self):
         return iter(self.entries)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
+        return _fraction(self.num[i], self.den)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.num)
 
     def dot(self, other: "QVector") -> Fraction:
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
+        _check_length(self.num, other.num)
+        return Fraction(sum(map(mul, self.num, other.num)), self.den * other.den)
+
+    def _combine(self, other: "QVector", op) -> "QVector":
+        _check_length(self.num, other.num)
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            den = math.lcm(den, other.den)
+            sa, sb = den // self.den, den // other.den
+            a, b = tuple([x * sa for x in a]), tuple([x * sb for x in b])
+        return QVector._of(tuple(map(op, a, b)), den)
 
     def __add__(self, other: "QVector") -> "QVector":
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return QVector([a + b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, add)
 
     def __sub__(self, other: "QVector") -> "QVector":
-        return self + (-1) * other
+        return self._combine(other, sub)
 
     def __mul__(self, c) -> "QVector":
-        c = _frac(c)
-        return QVector([c * e for e in self.entries])
+        c = rational(c)
+        p = c.numerator
+        return QVector._of(tuple([p * a for a in self.num]), self.den * c.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QVector):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return "QVector([" + ", ".join(str(e) for e in self.entries) + "])"
 
 
 class QMatrix:
-    """Immutable rational matrix; rows is a tuple of row tuples."""
+    """Immutable rational matrix: `num` is a tuple of integer numerator rows
+    over the denominator `den`; `rows` and `cols` give the shape."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(_frac(e) for e in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+        values = [[rational(e) for e in row] for row in entries]
+        if values:
+            width = len(values[0])
+            if any(len(r) != width for r in values):
                 raise ValueError("ragged rows")
         else:
             width = 0
-        self.entries = rows
-        self.rows = len(rows)
-        self.cols = width if rows else 0
+        flat, self.den = _common(list(chain.from_iterable(values)))
+        self.num = tuple(flat[i * width:(i + 1) * width] for i in range(len(values)))
+        self.rows = len(values)
+        self.cols = width
+
+    @classmethod
+    def _of(cls, num: Tuple[Tuple[int, ...], ...], den: int) -> "QMatrix":
+        """num / den for a positive den, brought to lowest terms."""
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num, den = tuple(tuple([a // g for a in row]) for row in num), den // g
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        out.rows = len(num)
+        out.cols = len(num[0]) if num else 0
+        return out
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QMatrix":
-        return QMatrix([[Fraction(0)] * cols for _ in range(rows)])
+        return QMatrix._of(((0,) * cols,) * rows, 1)
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return QMatrix._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @staticmethod
     def unit(n: int, i: int, j: int) -> "QMatrix":
         """n-by-n matrix with a single 1 at row i, column j (0-based)."""
-        entries = [[Fraction(0)] * n for _ in range(n)]
-        entries[i][j] = Fraction(1)
-        return QMatrix(entries)
+        num = [[0] * n for _ in range(n)]
+        num[i][j] = 1
+        return QMatrix._of(tuple(map(tuple, num)), 1)
+
+    @property
+    def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(_fraction(a, den) for a in row) for row in self.num)
+
+    def to_json(self) -> List[List[str]]:
+        """Rows of entries as the strings str(Fraction) writes."""
+        return [list(map(str, row)) for row in (self.num if self.den == 1 else self.entries)]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
+        return not any(map(any, self.num))
 
     def __getitem__(self, i: int) -> Tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def row(self, i: int) -> QVector:
-        return QVector(self.entries[i])
-
-    def column(self, j: int) -> QVector:
-        return QVector([self.entries[i][j] for i in range(self.rows)])
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        den = self.den
+        return tuple(_fraction(a, den) for a in self.num[i])
 
     def trace(self) -> Fraction:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+        return _fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
+
+    def _combine(self, other: "QMatrix", op) -> "QMatrix":
+        self._check_shape(other)
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            den = math.lcm(den, other.den)
+            sa, sb = den // self.den, den // other.den
+            a = tuple(tuple([x * sa for x in row]) for row in a)
+            b = tuple(tuple([x * sb for x in row]) for row in b)
+        return QMatrix._of(tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b)), den)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._check_shape(other)
-        return QMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._check_shape(other)
-        return QMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return self._combine(other, sub)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([[-a for a in row] for row in self.entries])
+        return QMatrix._of(tuple(tuple(map(neg, row)) for row in self.num), self.den)
 
     def _check_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -166,8 +265,10 @@ class QMatrix:
             )
 
     def __mul__(self, c) -> "QMatrix":
-        c = _frac(c)
-        return QMatrix([[c * a for a in row] for row in self.entries])
+        c = rational(c)
+        p = c.numerator
+        return QMatrix._of(tuple(tuple([p * a for a in row]) for row in self.num),
+                           self.den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -175,12 +276,9 @@ class QMatrix:
         if isinstance(other, QVector):
             if self.cols != len(other):
                 raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {len(other)}")
-            return QVector(
-                [
-                    sum((a * b for a, b in zip(row, other.entries) if b), Fraction(0))
-                    for row in self.entries
-                ]
-            )
+            v = other.num
+            return QVector._of(tuple(sum(map(mul, row, v)) for row in self.num),
+                               self.den * other.den)
         if not isinstance(other, QMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -189,25 +287,26 @@ class QMatrix:
             )
         # accumulate row-by-row, skipping zero left entries; evaluation points
         # are often shift-like and mostly zero, where this drops a factor of n
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.entries):
-            acc = out[i]
+        cols, right = other.cols, other.num
+        out = []
+        for row in self.num:
+            acc = [0] * cols
             for k, a in enumerate(row):
                 if not a:
                     continue
-                brow = other.entries[k]
-                for j, b in enumerate(brow):
+                for j, b in enumerate(right[k]):
                     if b:
                         acc[j] += a * b
-        return QMatrix(out)
+            out.append(tuple(acc))
+        return QMatrix._of(tuple(out), self.den * other.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
@@ -219,21 +318,9 @@ class QMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _integerize(m: QMatrix) -> Tuple[List[List[int]], Fraction]:
-    """Clear denominators row by row; returns rows and the product of the
-    row multipliers (needed to undo the scaling in determinants)."""
-    rows: List[List[int]] = []
-    multiplier = Fraction(1)
-    for row in m.entries:
-        lcm = 1
-        for e in row:
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-        multiplier *= lcm
-        rows.append([int(e * lcm) for e in row])
-    return rows, multiplier
-
-
-def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[Tuple[int, int]], int]:
+def _bareiss_echelon(
+    rows: Sequence[Sequence[int]],
+) -> Tuple[List[List[int]], List[Tuple[int, int]], int]:
     """Fraction-free row echelon form.
 
     Returns (echelon rows, pivot (row, col) pairs, sign from row swaps).
@@ -274,15 +361,38 @@ class RankInfo:
     kernel: List[QVector]
 
 
+def _kernel_vector(echelon: List[List[int]], pivots: List[Tuple[int, int]], free: int,
+                   cols: int) -> QVector:
+    """The kernel vector with entry 1 at the free column `free` and 0 at the
+    other free columns, back-substituted without fractions: x holds
+    numerators over `scale`, and each pivot p scales both by p / gcd."""
+    x = [0] * cols
+    x[free] = scale = 1
+    for r, c in reversed(pivots):
+        row = echelon[r]
+        s = sum(map(mul, row[c + 1:], x[c + 1:]))
+        if not s:
+            continue
+        g = math.gcd(s, row[c])
+        q = row[c] // g
+        if q != 1:
+            x = [q * a for a in x]
+            scale *= q
+        x[c] = -s // g
+    if scale < 0:
+        x, scale = [-a for a in x], -scale
+    return QVector._of(tuple(x), scale)
+
+
 def rank_det_kernel(m: QMatrix) -> RankInfo:
-    """Exact rank, determinant and right kernel via Bareiss elimination."""
+    """Exact rank, determinant and right kernel via Bareiss elimination of
+    the numerators; the determinant divides by den**rows."""
     if m.rows == 0 or m.cols == 0:
         det_value: Optional[Fraction] = Fraction(1) if m.rows == m.cols else None
         kernel = [QVector.unit(m.cols, j) for j in range(m.cols)]
         return RankInfo(rank=0, det=det_value, kernel=kernel)
 
-    rows, multiplier = _integerize(m)
-    echelon, pivots, sign = _bareiss_echelon(rows)
+    echelon, pivots, sign = _bareiss_echelon(m.num)
     rank = len(pivots)
 
     det_value = None
@@ -290,18 +400,11 @@ def rank_det_kernel(m: QMatrix) -> RankInfo:
         if rank < m.rows:
             det_value = Fraction(0)
         else:
-            det_value = Fraction(sign * echelon[pivots[-1][0]][pivots[-1][1]]) / multiplier
+            det_value = _fraction(sign * echelon[-1][-1], m.den ** m.rows)
 
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    kernel: List[QVector] = []
-    for free in free_cols:
-        x: List[Fraction] = [Fraction(0)] * m.cols
-        x[free] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = sum((Fraction(echelon[r][j]) * x[j] for j in range(c + 1, m.cols)), Fraction(0))
-            x[c] = -s / Fraction(echelon[r][c])
-        kernel.append(QVector(x))
+    pivot_cols = {c for _, c in pivots}
+    kernel = [_kernel_vector(echelon, pivots, free, m.cols)
+              for free in range(m.cols) if free not in pivot_cols]
     return RankInfo(rank=rank, det=det_value, kernel=kernel)
 
 

