@@ -27,10 +27,10 @@ from . import checks
 from .checks import InternalInconsistencyError, self_check
 from .evaluate import MatTuple, ResourceCapError, eval_poly, random_tuple
 from .linalg import QMatrix, QVector, rank_det_kernel, rational_roots
-from .poly import NcPoly, Word, deglex_key, words_of_length, words_up_to
+from .poly import NcPoly, Word, deglex_key, words_of_length
 
 MAX_SPAN_ENTRIES = 200_000  # coefficient entries of one multiples span
-MAX_WITNESS_DIMENSION = 500  # words bounding a two-sided witness's size
+MAX_WITNESS_DIMENSION = 500  # quotient-basis words of one left or two-sided witness
 # seeded eigenvector search of a composition No: sizes 2..max, tuples per size
 EIGEN_MAX_SIZE = 3
 EIGEN_ATTEMPTS_PER_SIZE = 25
@@ -324,6 +324,27 @@ def _left_multiples_rref(basis: Sequence[NcPoly], d: int, limit: int) -> WordRRE
     return rref
 
 
+def _quotient_basis(rref: WordRREF, d: int, delta: int) -> List[Word]:
+    """The non-pivot words of degree <= delta, in deglex order.
+
+    Both ideal stores have pivot words closed under left multiplication up
+    to delta (lead(x_i * p) = x_i * lead(p), and x_i * p stays in the span),
+    so a non-pivot word's suffixes are non-pivot: each degree is grown from
+    the one below by a letter in front.  Raises ResourceCapError once the
+    basis passes MAX_WITNESS_DIMENSION words."""
+    layer = [] if () in rref else [()]
+    basis = list(layer)
+    for _ in range(delta):
+        layer = sorted(w for w in ((i,) + u for u in layer for i in range(1, d + 1))
+                       if w not in rref)
+        basis.extend(layer)
+        if len(basis) > MAX_WITNESS_DIMENSION:
+            raise ResourceCapError(
+                f"witness quotient basis exceeds MAX_WITNESS_DIMENSION = {MAX_WITNESS_DIMENSION} words"
+            )
+    return basis
+
+
 def _shift_matrices(
     rref: WordRREF, d: int, basis_words: Sequence[Word]
 ) -> Tuple[MatTuple, QVector, Dict[Word, int]]:
@@ -387,8 +408,7 @@ def left_ideal_membership(
         self_check(checks.left_combination, f_list, g, cofactors)
         return LeftCombination(tuple(cofactors))
 
-    basis = [w for w in words_up_to(d, delta) if w not in rref]
-    point, vector, _ = _shift_matrices(rref, d, basis)
+    point, vector, _ = _shift_matrices(rref, d, _quotient_basis(rref, d, delta))
     self_check(checks.left_witness, f_list, g, point, vector)
     return DirectionalWitness(point, vector)
 
@@ -457,13 +477,7 @@ def hom_ideal_membership(
         self_check(checks.hom_combination, f_list, g, pairs)
         return HomCombination(tuple(tuple(p) for p in pairs))
 
-    word_count = len(words_up_to(d, delta))
-    if word_count > MAX_WITNESS_DIMENSION:
-        raise ResourceCapError(
-            f"witness dimension bound {word_count} exceeds cap {MAX_WITNESS_DIMENSION}"
-        )
-    basis = [w for w in words_up_to(d, delta) if w not in rref]
-    point, _, _ = _shift_matrices(rref, d, basis)
+    point, _, _ = _shift_matrices(rref, d, _quotient_basis(rref, d, delta))
     self_check(checks.hom_witness, f_list, g, point)
     return MatrixWitness(point)
 

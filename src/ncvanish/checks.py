@@ -431,6 +431,9 @@ def classification(
 ) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...], Tuple[int, ...], Fraction, Fraction, int]:
     """Re-derives the membership table by exact evaluation; returns the
     generators' dets, traces and ranks, then the target's."""
+    for name, vector in (("left", left), ("right", right)):
+        _require(vector is None or len(vector) == point.n,
+                 f"{name} vector length differs from the point size {point.n}")
     result = classify_point(gens, target, point, left, right)
     for name in ("in_zero", "in_directional", "in_det_zero", "in_trace_zero", "in_weak"):
         _require(memberships.get(name) == getattr(result, name), f"{name} disagrees on re-evaluation")

@@ -9,13 +9,12 @@ symbolically by evaluating on generic matrices whose entries are independent
 commuting indeterminates.  One expansion serves both answers: `pi_test`
 reads only whether an entry is nonzero, and `nonvanishing_point` turns a
 nonzero entry into an integer point where f(X) != 0, the evidence a No
-stores so that a checker only evaluates.  The seeded and structured tuples
-here are candidates for the search engines; checkers never draw them.
+stores so that a checker only evaluates.  The seeded random tuples here are
+candidates for the search engines; checkers never draw them.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Ty
 from .linalg import QMatrix, QVector, rank_det_kernel
 from .poly import NcPoly, Word, commutator
 
-MAX_FACTORIAL_DEGREE = 8
 PI_MAX_OPS = 10_000_000  # monomial products of one symbolic identity test
 
 T = TypeVar("T")
@@ -98,11 +96,6 @@ class MatTuple:
             raise ValueError("matrix tuple header disagrees with matrix shapes")
         return tup
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
-
     @staticmethod
     def load(path: str) -> "MatTuple":
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,18 +104,6 @@ class MatTuple:
             except RecursionError:
                 raise ValueError(f"{path}: JSON nesting too deep to decode") from None
         return MatTuple.from_json(data)
-
-
-def direct_sum(a: MatTuple, b: MatTuple) -> MatTuple:
-    """Coordinatewise block-diagonal join; sizes add."""
-    if a.d != b.d:
-        raise ValueError(f"variable count mismatch: {a.d} vs {b.d}")
-    n, m = a.n, b.n
-    out: List[QMatrix] = []
-    for ma, mb in zip(a.matrices, b.matrices):
-        out.append(QMatrix([row + (0,) * m for row in ma.entries]
-                           + [(0,) * n + row for row in mb.entries]))
-    return MatTuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -211,33 +192,6 @@ def reference_poly() -> NcPoly:
     return NcPoly.one(2) - commutator(x1, inner * inner)
 
 
-def structured_tuples(d: int, n: int) -> List[MatTuple]:
-    """Size-n points tried before random ones: zero, the truncation pair
-    padded with zeros, and the scalar tuples c*I for c = 1, -1, 2."""
-    out = [MatTuple([QMatrix.zeros(n, n) for _ in range(d)])]
-    if d >= 2:
-        w = weyl_pair(n)
-        out.append(MatTuple(list(w.matrices) + [QMatrix.zeros(n, n)] * (d - 2)))
-    for c in (1, -1, 2):
-        out.append(MatTuple([c * QMatrix.identity(n) for _ in range(d)]))
-    return out
-
-
-def standard_poly(k: int) -> NcPoly:
-    """Full alternating sum over all k! orderings of x1..xk."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if k > MAX_FACTORIAL_DEGREE:
-        raise ValueError(f"refusing k = {k} > {MAX_FACTORIAL_DEGREE} (k! terms)")
-    terms: Dict[Word, Fraction] = {}
-    for perm in itertools.permutations(range(1, k + 1)):
-        inversions = sum(
-            1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j]
-        )
-        terms[tuple(perm)] = Fraction(-1 if inversions % 2 else 1)
-    return NcPoly(k, terms)
-
-
 def random_tuple(rng: random.Random, n: int, d: int, k: int = 5) -> MatTuple:
     """Integer entries drawn uniformly from {-k..k}; the caller owns the rng."""
     mats = [
@@ -245,10 +199,6 @@ def random_tuple(rng: random.Random, n: int, d: int, k: int = 5) -> MatTuple:
         for _ in range(d)
     ]
     return MatTuple(mats)
-
-
-def random_vector(rng: random.Random, n: int, k: int = 5) -> QVector:
-    return QVector([rng.randint(-k, k) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +269,6 @@ class CPoly:
 
     __rmul__ = __mul__
 
-    def substitute(self, var: int, replacement: "CPoly") -> "CPoly":
-        """Replace one variable by a polynomial (used by ansatz solvers)."""
-        result = CPoly()
-        for mono, coeff in self.terms.items():
-            power = sum(1 for v in mono if v == var)
-            rest = tuple(v for v in mono if v != var)
-            term = CPoly({rest: coeff})
-            for _ in range(power):
-                term = term * replacement
-            result = result + term
-        return result
-
     def variables(self) -> List[int]:
         seen = set()
         for mono in self.terms:
@@ -341,9 +279,6 @@ class CPoly:
         if not self.terms:
             return -1
         return max(len(m) for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CPoly):
@@ -465,23 +400,17 @@ def nonvanishing_point(f: NcPoly, n: int) -> Optional[MatTuple]:
 @dataclass(frozen=True)
 class PointClassification:
     """Membership flags of a tuple in the various vanishing sets, with the
-    underlying exact values so callers can audit every flag."""
+    determinants, traces and ranks a classification document stores."""
 
     in_zero: bool
     in_directional: Optional[bool]
     in_det_zero: bool
     in_trace_zero: bool
     in_weak: Optional[bool]
-    f_values: Tuple[QMatrix, ...]
-    g_value: QMatrix
     f_dets: Tuple[Fraction, ...]
     f_traces: Tuple[Fraction, ...]
     g_det: Fraction
     g_trace: Fraction
-    f_directional: Optional[Tuple[QVector, ...]]
-    g_directional: Optional[QVector]
-    f_weak: Optional[Tuple[Fraction, ...]]
-    g_weak: Optional[Fraction]
     f_ranks: Tuple[int, ...]
     g_rank: int
 
@@ -493,24 +422,17 @@ def classify_point(
     u: Optional[QVector] = None,
     v: Optional[QVector] = None,
 ) -> PointClassification:
-    f_values = tuple(eval_poly(f, point) for f in f_list)
+    f_values = [eval_poly(f, point) for f in f_list]
     g_value = eval_poly(g, point)
     f_infos = [rank_det_kernel(m) for m in f_values]
     g_info = rank_det_kernel(g_value)
 
-    f_dir = g_dir = None
-    in_dir = None
+    in_dir = in_weak = None
     if v is not None:
-        f_dir = tuple(m @ v for m in f_values)
-        g_dir = g_value @ v
+        f_dir = [m @ v for m in f_values]
         in_dir = all(w.is_zero() for w in f_dir)
-
-    f_weak = g_weak = None
-    in_weak = None
-    if u is not None and v is not None:
-        f_weak = tuple(u.dot(w) for w in f_dir)
-        g_weak = u.dot(g_dir)
-        in_weak = all(s == 0 for s in f_weak)
+        if u is not None:
+            in_weak = all(u.dot(w) == 0 for w in f_dir)
 
     return PointClassification(
         in_zero=all(m.is_zero() for m in f_values),
@@ -518,16 +440,10 @@ def classify_point(
         in_det_zero=all(info.det == 0 for info in f_infos),
         in_trace_zero=all(m.trace() == 0 for m in f_values),
         in_weak=in_weak,
-        f_values=f_values,
-        g_value=g_value,
         f_dets=tuple(info.det for info in f_infos),
         f_traces=tuple(m.trace() for m in f_values),
         g_det=g_info.det,
         g_trace=g_value.trace(),
-        f_directional=f_dir,
-        g_directional=g_dir,
-        f_weak=f_weak,
-        g_weak=g_weak,
         f_ranks=tuple(info.rank for info in f_infos),
         g_rank=g_info.rank,
     )

@@ -35,6 +35,19 @@ SOLVE_NODE_CAP = 20_000  # search nodes of one split system; past it the split i
 # Anything this cannot finish marks the search incomplete instead of guessing.
 
 
+def _substitute(p: CPoly, var: int, replacement: CPoly) -> CPoly:
+    """p with one variable replaced by a polynomial."""
+    result = CPoly()
+    for mono, coeff in p.terms.items():
+        power = sum(1 for v in mono if v == var)
+        rest = tuple(v for v in mono if v != var)
+        term = CPoly({rest: coeff})
+        for _ in range(power):
+            term = term * replacement
+        result = result + term
+    return result
+
+
 def _resolve_assignment(
     variables: Sequence[int], assign: Dict[int, Fraction], subst: Dict[int, CPoly]
 ) -> Tuple[Dict[int, Fraction], bool]:
@@ -108,7 +121,7 @@ def _solve_poly_system(
             coeff = linear.terms[(var,)]
             rest = linear + CPoly({(var,): -coeff})
             expr = rest * (Fraction(-1) / coeff)
-            new_eqs = [e.substitute(var, expr) for e in eqs if e is not linear]
+            new_eqs = [_substitute(e, var, expr) for e in eqs if e is not linear]
             new_subst = dict(subst)
             new_subst[var] = expr
             stack.append((new_eqs, assign, new_subst))
@@ -123,7 +136,7 @@ def _solve_poly_system(
                 coeffs[len(mono)] = c
             for root in rational_roots(coeffs):
                 replacement = CPoly.constant(root)
-                branch_eqs = [e.substitute(var, replacement) for e in eqs if e is not univariate]
+                branch_eqs = [_substitute(e, var, replacement) for e in eqs if e is not univariate]
                 branch_assign = dict(assign)
                 branch_assign[var] = root
                 stack.append((branch_eqs, branch_assign, subst))
@@ -134,7 +147,7 @@ def _solve_poly_system(
             mono = next(iter(monomial.terms))
             for var in sorted(set(mono)):
                 replacement = CPoly.constant(Fraction(0))
-                branch_eqs = [e.substitute(var, replacement) for e in eqs if e is not monomial]
+                branch_eqs = [_substitute(e, var, replacement) for e in eqs if e is not monomial]
                 branch_assign = dict(assign)
                 branch_assign[var] = Fraction(0)
                 stack.append((branch_eqs, branch_assign, subst))

@@ -7,11 +7,11 @@ every numerator is 1), so equal values have equal storage and `==` and
 gcd pass when the denominator is 1, as it is on every integer point.
 Fractions appear only at the boundary: `entries`, indexing, `trace`, `dot`
 and determinants.  String entries are decoded once, at construction, and
-refused past MAX_ENTRY_BITS before they are built.  Rank, determinant and
-kernel come from fraction-free (Bareiss) elimination of the numerators;
-linear solves use ordinary Gauss-Jordan over Fractions.  Pivoting is
-deterministic everywhere: the first nonzero entry in column order wins, so
-identical inputs give identical outputs.
+refused past MAX_ENTRY_BITS before they are built.  Rank, determinant,
+kernel and linear solves all come from one fraction-free (Bareiss)
+elimination of the numerators.  Pivoting is deterministic everywhere: the
+first nonzero entry in column order wins, so identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
@@ -408,14 +408,9 @@ def rank_det_kernel(m: QMatrix) -> RankInfo:
     return RankInfo(rank=rank, det=det_value, kernel=kernel)
 
 
-def det(m: QMatrix) -> Fraction:
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    return rank_det_kernel(m).det
-
-
 def rank(m: QMatrix) -> int:
-    return rank_det_kernel(m).rank
+    """Exact rank: the pivot count of the Bareiss echelon of the numerators."""
+    return len(_bareiss_echelon(m.num)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -425,36 +420,22 @@ def rank(m: QMatrix) -> int:
 
 def solve_linear(rows: Sequence[QVector], rhs: QVector) -> Optional[QVector]:
     """One exact solution of rows * x = rhs with free variables set to zero,
-    or None when the system is inconsistent."""
+    or None when the system is inconsistent.
+
+    x extended by 1 is the kernel vector of [A | -b] at its last column,
+    which exists exactly when that column is not a pivot; each row is
+    scaled to integers by its denominator and b's."""
     m = len(rows)
     if m != len(rhs):
         raise ValueError("right-hand side length mismatch")
     n = len(rows[0]) if m else 0
-    aug = [list(rows[i].entries) + [rhs[i]] for i in range(m)]
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        pivot_row = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][c]
-        aug[r] = [e / pv for e in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row_idx, col_idx in pivots:
-        x[col_idx] = aug[row_idx][n]
-    return QVector(x)
+    aug = [tuple([a * rhs.den for a in row.num]) + (-b * row.den,)
+           for row, b in zip(rows, rhs.num)]
+    echelon, pivots, _ = _bareiss_echelon(aug)
+    if pivots and pivots[-1][1] == n:
+        return None
+    x = _kernel_vector(echelon, pivots, n, n + 1)
+    return QVector._of(x.num[:n], x.den)
 
 
 @dataclass(frozen=True)
@@ -546,27 +527,3 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
                 if cand not in roots and value(cand) == 0:
                     roots.append(cand)
     return roots
-
-
-# ---------------------------------------------------------------------------
-# Rational reconstruction
-# ---------------------------------------------------------------------------
-
-
-def rational_reconstruct(x: float, max_den: int = 10**6) -> Optional[Fraction]:
-    """Recover p/q from a float via continued-fraction convergents.
-
-    Accepts the convergent p/q (q <= max_den) only when
-    |x - p/q| < 1 / (2 * q * max_den); returns None when no convergent
-    qualifies.  If any fraction within the bound exists, the closest
-    bounded-denominator fraction is it, so the check is complete.
-    """
-    if max_den < 1:
-        raise ValueError("max_den must be >= 1")
-    if not math.isfinite(x):
-        raise ValueError(f"cannot reconstruct from non-finite value {x!r}")
-    exact = Fraction(x)
-    candidate = exact.limit_denominator(max_den)
-    if abs(exact - candidate) < Fraction(1, 2 * candidate.denominator * max_den):
-        return candidate
-    return None

@@ -12,6 +12,7 @@ of least rank, and that tuple is the point a `rankprofile` document stores.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import checks
 from .checks import self_check
-from .evaluate import MatTuple, eval_poly, prefix_products, random_tuple, reference_poly, structured_tuples
-from .linalg import QMatrix, QVector, rank, rational_reconstruct, solve_linear
+from .evaluate import MatTuple, eval_poly, prefix_products, random_tuple, reference_poly, weyl_pair
+from .linalg import QMatrix, QVector, rank, solve_linear
 from .poly import NcPoly
 
 
@@ -54,15 +55,6 @@ class FMatTuple:
 
     def __repr__(self) -> str:
         return f"FMatTuple(n={self.n}, d={self.d})"
-
-
-def float_of_exact(point: MatTuple) -> FMatTuple:
-    return FMatTuple(
-        [
-            np.array([[float(c) for c in row] for row in m.entries])
-            for m in point.matrices
-        ]
-    )
 
 
 @dataclass(frozen=True)
@@ -104,21 +96,15 @@ def _eval_float_batch(f: NcPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
     return sum(terms, np.zeros((batch, n, n)))
 
 
-def eval_poly_float(f: NcPoly, point: FMatTuple) -> np.ndarray:
-    values = _eval_float_batch(f, [m[None, :, :] for m in point.matrices])
-    return values[0]
+def eval_poly_float(f: NcPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """f at one float tuple, evaluated as a batch of one."""
+    return _eval_float_batch(f, [m[None] for m in mats])[0]
 
 
 def _tail_objective_batch(values: np.ndarray, r: int) -> np.ndarray:
     s = np.linalg.svd(values, compute_uv=False)
     tail = s[:, r:]
     return np.sum(tail * tail, axis=1)
-
-
-def lowrank_objective(f: NcPoly, point: FMatTuple, r: int) -> float:
-    """J(X) = sum of squared singular values of f(X) beyond the first r."""
-    value = eval_poly_float(f, point)
-    return float(_tail_objective_batch(value[None, :, :], r)[0])
 
 
 def _gradient(f: NcPoly, mats: List[np.ndarray], r: int) -> Tuple[List[np.ndarray], float]:
@@ -200,6 +186,25 @@ def _descend(
 # ---------------------------------------------------------------------------
 
 
+def rational_reconstruct(x: float, max_den: int = 10**6) -> Optional[Fraction]:
+    """Recover p/q from a float via continued-fraction convergents.
+
+    Accepts the convergent p/q (q <= max_den) only when
+    |x - p/q| < 1 / (2 * q * max_den); returns None when no convergent
+    qualifies.  If any fraction within the bound exists, the closest
+    bounded-denominator fraction is it, so the check is complete.
+    """
+    if max_den < 1:
+        raise ValueError("max_den must be >= 1")
+    if not math.isfinite(x):
+        raise ValueError(f"cannot reconstruct from non-finite value {x!r}")
+    exact = Fraction(x)
+    candidate = exact.limit_denominator(max_den)
+    if abs(exact - candidate) < Fraction(1, 2 * candidate.denominator * max_den):
+        return candidate
+    return None
+
+
 def _entrywise_exact(mats: Sequence[np.ndarray], max_den: int) -> Optional[MatTuple]:
     exact = []
     for m in mats:
@@ -265,7 +270,7 @@ def _linear_endgame(f: NcPoly, mats: Sequence[np.ndarray], r: int) -> Optional[M
     d = len(mats)
     if r >= n:
         return _snap(mats, _FREEZE_DEN)
-    float_value = _eval_float_batch(f, [m[None] for m in mats])[0]
+    float_value = eval_poly_float(f, mats)
     column_snaps = _top_singular_snaps(float_value, r)
     for k in _affine_variables(f):
         frozen = [
@@ -388,6 +393,18 @@ def lowrank_search(f: NcPoly, n: int, cfg: SearchConfig) -> SearchResult:
         iterations=best_iters,
         exact=exact,
     )
+
+
+def structured_tuples(d: int, n: int) -> List[MatTuple]:
+    """Size-n points tried before random ones: zero, the truncation pair
+    padded with zeros, and the scalar tuples c*I for c = 1, -1, 2."""
+    out = [MatTuple([QMatrix.zeros(n, n) for _ in range(d)])]
+    if d >= 2:
+        w = weyl_pair(n)
+        out.append(MatTuple(list(w.matrices) + [QMatrix.zeros(n, n)] * (d - 2)))
+    for c in (1, -1, 2):
+        out.append(MatTuple([c * QMatrix.identity(n) for _ in range(d)]))
+    return out
 
 
 def candidate_tuples(d: int, n: int, samples: int, rng: random.Random) -> List[MatTuple]:

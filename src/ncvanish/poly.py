@@ -159,13 +159,6 @@ class NcPoly:
 
     # -- structure ---------------------------------------------------------
 
-    def homogeneous_components(self) -> Dict[int, "NcPoly"]:
-        """Nonzero homogeneous components keyed by degree, ascending keys."""
-        buckets: Dict[int, Dict[Word, Fraction]] = {}
-        for w, c in self.terms.items():
-            buckets.setdefault(len(w), {})[w] = c
-        return {k: NcPoly(self.d, buckets[k]) for k in sorted(buckets)}
-
     def is_homogeneous(self) -> bool:
         return len({len(w) for w in self.terms}) <= 1
 
@@ -532,11 +525,3 @@ def words_of_length(d: int, length: int) -> Iterator[Word]:
         return
     for tup in itertools.product(range(1, d + 1), repeat=length):
         yield tup
-
-
-def words_up_to(d: int, degree: int) -> List[Word]:
-    """All words of length <= degree, in increasing deglex order."""
-    out: List[Word] = []
-    for k in range(degree + 1):
-        out.extend(words_of_length(d, k))
-    return out

@@ -1,9 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import settings
 
 from ncvanish.poly import NcPoly, Word
+
+
+def standard_poly(k: int) -> NcPoly:
+    """The standard polynomial s_k: the alternating sum over all k! orderings
+    of x1..xk."""
+    terms = {}
+    for perm in itertools.permutations(range(1, k + 1)):
+        inversions = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
+        terms[perm] = Fraction(-1 if inversions % 2 else 1)
+    return NcPoly(k, terms)
 
 
 def random_word(rng: random.Random, d: int, max_len: int) -> Word:

@@ -30,7 +30,6 @@ from ncvanish.evaluate import (
     eval_poly_vector,
     pi_test,
     random_tuple,
-    standard_poly,
     weyl_pair,
 )
 from ncvanish.factorization import AssocYes, factor, stable_assoc
@@ -38,7 +37,7 @@ from ncvanish.linalg import QMatrix, rank
 from ncvanish.lowrank import SearchConfig, lowrank_search, verify_reference_witnesses
 from ncvanish.poly import NcPoly, commutator, parse, words_of_length
 
-from conftest import random_nonzero_poly, random_poly
+from conftest import random_nonzero_poly, random_poly, standard_poly
 
 
 def report(capsys, number, name, started, budget):

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from ncvanish.certify import (
     trace_membership,
     weak_basis,
 )
-from ncvanish.evaluate import eval_poly, eval_poly_vector
+from ncvanish.evaluate import classify_point, eval_poly, eval_poly_vector
 from ncvanish.linalg import QMatrix
 from ncvanish.poly import NcPoly, commutator, parse
 from ncvanish.serialize import encode_certificate, make_document, verify_certificate
@@ -167,8 +168,8 @@ def test_hom_membership_random_round_trips():
         for _ in range(rng.randint(1, 2)):
             deg = rng.randint(1, 2)
             p = random_poly(rng, d, deg, terms=2)
-            comp = p.homogeneous_components().get(deg)
-            if comp is not None:
+            comp = NcPoly(d, {w: c for w, c in p.terms.items() if len(w) == deg})
+            if not comp.is_zero():
                 f_list.append(comp)
         if not f_list:
             continue
@@ -294,6 +295,51 @@ def test_span_random_round_trips():
         for c, f in zip(res.coefficients, f_list):
             total = total + c * f
         assert total == g
+
+
+# ---------------------------------------------------------------------------
+# the survey's containments across engines: span within left ideal within
+# two-sided ideal, span within span + commutators, and Z within Z_dir within
+# Z_det, Z_dir within Z_weak for the witness points
+
+
+def test_survey_containments_hold_across_engines():
+    rng = random.Random(71)
+    witnesses = {"left": 0, "span": 0, "hom": 0}
+    started = time.perf_counter()
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        f_list = [random_nonzero_poly(rng, d, 2) for _ in range(rng.randint(1, 2))]
+        g = NcPoly.zero(d)
+        for f in f_list:
+            g = g + Fraction(rng.randint(-3, 3)) * f
+        assert isinstance(span_membership(f_list, g), SpanCoefficients)
+        assert isinstance(left_ideal_membership(f_list, g), LeftCombination)
+        assert isinstance(trace_membership(f_list, g), TraceCombination)
+
+        other = random_nonzero_poly(rng, d, 3)
+        left = left_ideal_membership(f_list, other)
+        if isinstance(left, DirectionalWitness):
+            result = classify_point(f_list, other, left.point, v=left.vector)
+            assert result.in_directional and result.in_det_zero
+            witnesses["left"] += 1
+        span = span_membership(f_list, other)
+        if isinstance(span, WeakWitness):
+            assert classify_point(f_list, other, span.point, span.left, span.right).in_weak
+            witnesses["span"] += 1
+
+        homogeneous = [f.lead_part() for f in f_list]
+        member = NcPoly.zero(d)
+        for f in homogeneous:
+            member = member + random_poly(rng, d, 1, terms=2) * f
+        assert isinstance(left_ideal_membership(homogeneous, member), LeftCombination)
+        assert isinstance(hom_ideal_membership(homogeneous, member), HomCombination)
+        hom = hom_ideal_membership(homogeneous, other)
+        if isinstance(hom, MatrixWitness):
+            assert classify_point(homogeneous, other, hom.point).in_zero
+            witnesses["hom"] += 1
+    assert min(witnesses.values()) >= 20, witnesses
+    assert time.perf_counter() - started < 2
 
 
 # ---------------------------------------------------------------------------

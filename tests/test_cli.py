@@ -6,7 +6,7 @@ import pytest
 from ncvanish import certify, cli
 from ncvanish.cli import dispatch
 from ncvanish.evaluate import weyl_pair
-from ncvanish.serialize import load_document, verify_certificate
+from ncvanish.serialize import load_document, save_document, verify_certificate
 
 
 def run(argv):
@@ -128,6 +128,30 @@ def test_composition_powers_are_bounded(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["member-hom", "-d", "2", "-f", "0", "-g", "x1^24"],
+    ["member-left", "-d", "2", "-f", "0", "-g", "x1^13"],
+    ["member-left", "-d", "2", "-f", "0", "-g", "x1^10"],
+], ids=["hom-degree-24", "left-degree-13", "left-degree-10"])
+def test_ideal_witness_past_max_witness_dimension_fails_in_one_line(capsys, argv):
+    # every word up to the target degree is a quotient-basis word here
+    started = time.perf_counter()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_WITNESS_DIMENSION" in err and err.count("\n") == 1
+    assert time.perf_counter() - started < 1.0
+
+
+def test_two_sided_witness_is_capped_by_its_own_size(tmp_path):
+    # 511 words up to degree 8, of which 45 are not leading words of the ideal
+    argv = ["member-hom", "-d", "2", "-f", "x1*x2 - x2*x1", "-g", "x1^4*x2^4"]
+    assert run(argv) == 0
+    doc = load_cert(tmp_path / "member-hom.cert.json")
+    assert doc["certificate"]["kind"] == "hom_witness"
+    assert doc["certificate"]["point"]["n"] == 45
+    assert run(["verify-cert", "member-hom.cert.json"]) == 0
+
+
 def test_unknown_subcommand_exits_one():
     with pytest.raises(SystemExit) as ei:
         run(["frobnicate"])
@@ -164,7 +188,7 @@ def test_overwrite_guard(tmp_path):
 
 def test_eval_against_point_file(tmp_path):
     point_path = tmp_path / "point.json"
-    weyl_pair(3).save(str(point_path))
+    save_document(weyl_pair(3).to_json(), str(point_path))
     rc = run(["eval", "-d", "2", "-f", "1 - (x1*x2 - x2*x1)", "--point", str(point_path)])
     assert rc == 0
     doc = load_cert(tmp_path / "eval.cert.json")
@@ -176,14 +200,14 @@ def test_eval_against_point_file(tmp_path):
 
 def test_eval_dimension_mismatch(tmp_path):
     point_path = tmp_path / "point.json"
-    weyl_pair(2).save(str(point_path))
+    save_document(weyl_pair(2).to_json(), str(point_path))
     rc = run(["eval", "-d", "3", "-f", "x3", "--point", str(point_path)])
     assert rc == 1
 
 
 def test_classify_with_direction_vectors(tmp_path):
     point_path = tmp_path / "point.json"
-    weyl_pair(2).save(str(point_path))
+    save_document(weyl_pair(2).to_json(), str(point_path))
     rc = run(
         ["classify", "-d", "2", "-f", "x1", "-g", "x2", "--point", str(point_path),
          "--left", "1,0", "--right", "0,1"]
@@ -195,7 +219,7 @@ def test_classify_with_direction_vectors(tmp_path):
 
 
 def test_classification_stored_values_are_checked(tmp_path):
-    weyl_pair(2).save(str(tmp_path / "point.json"))
+    save_document(weyl_pair(2).to_json(), str(tmp_path / "point.json"))
     assert run(["classify", "-d", "2", "-f", "x1", "-g", "x2", "--point", "point.json"]) == 0
     doc = load_cert(tmp_path / "classify.cert.json")
     assert verify_certificate(doc).ok
@@ -206,6 +230,24 @@ def test_classification_stored_values_are_checked(tmp_path):
         forged["certificate"][field] = value
         res = verify_certificate(forged)
         assert not res.ok and "dets, traces and ranks" in res.detail, field
+
+
+def test_classification_vectors_must_fit_the_point(tmp_path):
+    # without generators every membership holds vacuously, whatever the vectors
+    save_document(weyl_pair(2).to_json(), str(tmp_path / "point.json"))
+    assert run(["classify", "-d", "2", "-f", "x1", "-g", "x2", "--point", "point.json",
+                "--left", "1,0", "--right", "0,1"]) == 0
+    doc = load_cert(tmp_path / "classify.cert.json")
+    doc["problem"]["generators"] = []
+    doc["certificate"]["memberships"] = dict.fromkeys(doc["certificate"]["memberships"], True)
+    for field in ("f_dets", "f_traces", "f_ranks"):
+        doc["certificate"][field] = []
+    assert verify_certificate(doc).ok
+    for name in ("left", "right"):
+        forged = json.loads(json.dumps(doc))
+        forged["problem"][name] = forged["problem"][name] + ["0"]
+        res = verify_certificate(forged)
+        assert not res.ok and f"{name} vector length" in res.detail, name
 
 
 def test_verify_cert_round_trip(tmp_path):
@@ -267,7 +309,7 @@ def test_malformed_point_or_vector_fails_in_one_line(tmp_path, capsys, point, ex
 
 
 def test_classify_refuses_left_without_right(tmp_path, capsys):
-    weyl_pair(3).save(str(tmp_path / "w3.json"))
+    save_document(weyl_pair(3).to_json(), str(tmp_path / "w3.json"))
     argv = ["classify", "-d", "2", "-f", "x1", "-g", "x2", "--point", "w3.json"]
     assert run(argv + ["--left", "1,2,3"]) == 1
     err = capsys.readouterr().err
@@ -281,7 +323,7 @@ def test_classify_refuses_left_without_right(tmp_path, capsys):
     (["--right", "1,0,0,0"], "--right"),
 ], ids=["short-left", "short-right", "long-right"])
 def test_classify_checks_vector_lengths(tmp_path, capsys, vectors, name):
-    weyl_pair(3).save(str(tmp_path / "w3.json"))
+    save_document(weyl_pair(3).to_json(), str(tmp_path / "w3.json"))
     argv = ["classify", "-d", "2", "-f", "x1", "-g", "x2", "--point", "w3.json"]
     assert run(argv + vectors) == 1
     err = capsys.readouterr().err

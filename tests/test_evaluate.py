@@ -11,22 +11,21 @@ from ncvanish.evaluate import (
     MatTuple,
     ResourceCapError,
     classify_point,
-    direct_sum,
     eval_poly,
     eval_poly_vector,
     nonvanishing_point,
     pi_test,
     prefix_products,
     random_tuple,
-    random_vector,
-    standard_poly,
     weyl_pair,
 )
+from ncvanish.factorization import _substitute
 from ncvanish.linalg import QMatrix, QVector
-from ncvanish.lowrank import FMatTuple, eval_poly_float
+from ncvanish.lowrank import eval_poly_float
 from ncvanish.poly import NcPoly, commutator, parse
+from ncvanish.serialize import save_document
 
-from conftest import random_poly
+from conftest import random_poly, standard_poly
 
 
 def test_evaluation_is_a_homomorphism():
@@ -48,7 +47,7 @@ def test_eval_poly_vector_matches_full_product():
     for _ in range(30):
         n = rng.randint(1, 4)
         X = random_tuple(rng, n, 2)
-        v = random_vector(rng, n)
+        v = QVector([rng.randint(-5, 5) for _ in range(n)])
         f = random_poly(rng, 2, 4, terms=5)
         assert eval_poly_vector(f, X, v) == eval_poly(f, X) @ v
 
@@ -68,7 +67,7 @@ def test_long_words_evaluate():
     assert peak < 8 * 2**20
     assert value == QMatrix([[1, -2], [-3, 1]])
     assert eval_poly_vector(f, X, v) == value @ v
-    float_point = FMatTuple([[[0, 1], [1, 0]], [[2, 0], [0, 3]]])
+    float_point = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 3.0]])]
     assert np.array_equal(eval_poly_float(f, float_point), [[1, -2], [-3, 1]])
     assert pi_test(parse("x1^3000*x2 - x2*x1^3000", 2), 1)
 
@@ -85,27 +84,6 @@ def test_prefix_products_steps_each_distinct_prefix_once():
     assert sorted(stepped) == sorted({w[:k] for w in words for k in range(1, len(w) + 1)})
 
 
-def test_direct_sum_blocks():
-    rng = random.Random(15)
-    A = random_tuple(rng, 2, 2)
-    B = random_tuple(rng, 3, 2)
-    S = direct_sum(A, B)
-    assert S.n == 5 and S.d == 2
-    f = parse("x1*x2 + x2 - 1", 2)
-    val = eval_poly(f, S)
-    va, vb = eval_poly(f, A), eval_poly(f, B)
-    for i in range(2):
-        for j in range(2):
-            assert val.entries[i][j] == va.entries[i][j]
-        for j in range(3):
-            assert val.entries[i][2 + j] == 0
-    for i in range(3):
-        for j in range(2):
-            assert val.entries[2 + i][j] == 0
-        for j in range(3):
-            assert val.entries[2 + i][2 + j] == vb.entries[i][j]
-
-
 def test_weyl_pair_commutation_defect():
     f = parse("1", 2) - commutator(NcPoly.var(1, 2), NcPoly.var(2, 2))
     for n in (2, 3, 5):
@@ -119,10 +97,6 @@ def test_standard_poly():
     s3 = standard_poly(3)
     assert s3.d == 3
     assert len(list(s3.support())) == 6
-    with pytest.raises(ValueError):
-        standard_poly(9)
-    with pytest.raises(ValueError):
-        standard_poly(0)
 
 
 def test_pi_test_small_cases():
@@ -153,7 +127,7 @@ def test_mat_tuple_json_round_trip(tmp_path):
     rng = random.Random(21)
     X = random_tuple(rng, 3, 2)
     path = tmp_path / "point.json"
-    X.save(str(path))
+    save_document(X.to_json(), str(path))
     Y = MatTuple.load(str(path))
     assert X == Y
     assert hash(X) == hash(Y)
@@ -185,11 +159,9 @@ def test_classify_point_memberships():
     assert pc.in_zero
     assert pc.in_det_zero
     assert pc.in_trace_zero
-    assert not pc.in_directional or pc.g_value is not None
-    assert pc.f_values[0] == zero
-    assert pc.g_value == QMatrix.identity(2)
-    assert tuple(pc.f_ranks) == (0,)
-    assert pc.g_rank == 2
+    assert pc.in_directional is None and pc.in_weak is None
+    assert pc.f_dets == (0,) and pc.f_traces == (0,) and pc.f_ranks == (0,)
+    assert (pc.g_det, pc.g_trace, pc.g_rank) == (1, 2, 2)
 
 
 def test_classify_point_directional_vectors():
@@ -200,7 +172,7 @@ def test_classify_point_directional_vectors():
     u = QVector([1, 0])
     v = QVector([1, 0])
     pc = classify_point(f, g, point, u=u, v=v)
-    assert pc.in_directional
+    assert pc.in_directional and pc.in_weak
     assert not pc.in_zero
     assert pc.in_det_zero
 
@@ -211,9 +183,8 @@ def test_cpoly_arithmetic_and_substitution():
     p = x * y + 2 * x + CPoly.constant(Fraction(3))
     assert p.total_degree() == 2
     assert set(p.variables()) == {0, 1}
-    val = p.substitute(0, CPoly.constant(Fraction(1, 2))).substitute(
-        1, CPoly.constant(Fraction(4))
-    )
-    assert val.constant_value() == Fraction(1, 2) * 4 + 2 * Fraction(1, 2) + 3
+    val = _substitute(_substitute(p, 0, CPoly.constant(Fraction(1, 2))),
+                      1, CPoly.constant(Fraction(4)))
+    assert val == CPoly.constant(Fraction(1, 2) * 4 + 2 * Fraction(1, 2) + 3)
     assert (p - p).is_zero()
     assert CPoly.constant(Fraction(0)).is_zero()

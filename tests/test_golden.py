@@ -116,7 +116,7 @@ def golden_dir(tmp_path_factory):
 def documents(golden_dir):
     """Digest and parsed document of every golden document."""
     root = golden_dir
-    weyl_pair(3).save(str(root / "weyl3.json"))
+    save_document(weyl_pair(3).to_json(), str(root / "weyl3.json"))
     out = {}
     for name, argv in CLI_CASES.items():
         argv = [a if not a.endswith(".json") else str(root / a) for a in argv]

@@ -12,14 +12,13 @@ from ncvanish.linalg import (
     MAX_ENTRY_BITS,
     QMatrix,
     QVector,
-    det,
     rank,
     rank_det_kernel,
-    rational_reconstruct,
     rational_roots,
     solve_linear,
     solve_span,
 )
+from ncvanish.lowrank import rational_reconstruct
 
 
 def naive_det(rows):
@@ -50,12 +49,12 @@ def test_det_matches_leibniz_oracle():
     rng = random.Random(23)
     for _ in range(20):
         A = random_matrix(rng, 5, 5)
-        assert det(A) == naive_det([list(r) for r in A.entries])
+        assert rank_det_kernel(A).det == naive_det([list(r) for r in A.entries])
 
 
 def test_det_singular_and_identity():
-    assert det(QMatrix.identity(4)) == 1
-    assert det(QMatrix([[1, 2], [2, 4]])) == 0
+    assert rank_det_kernel(QMatrix.identity(4)).det == 1
+    assert rank_det_kernel(QMatrix([[1, 2], [2, 4]])).det == 0
 
 
 def test_kernel_vectors_annihilated_and_rank_nullity():
@@ -357,6 +356,63 @@ def test_rank_det_kernel_matches_fraction_elimination(a):
     A = QMatrix(a)
     info = rank_det_kernel(A)
     rank_value, det_value, kernel = reference_rank_det_kernel(a, A.cols)
-    assert info.rank == rank_value and info.det == det_value
+    assert info.rank == rank_value == rank(A) and info.det == det_value
     assert [list(k) for k in info.kernel] == kernel
     assert all(canonical(k) and (A @ k).is_zero() for k in info.kernel)
+
+
+def reference_solve_linear(a, b):
+    """Gauss-Jordan over Fraction lists: the solution of a x = b with free
+    variables 0, or None when the system is inconsistent."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    aug = [list(a[i]) + [b[i]] for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        pivot_row = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        pv = aug[r][c]
+        aug[r] = [e / pv for e in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+    if any(aug[i][n] != 0 for i in range(r, m)):
+        return None
+    x = [Fraction(0)] * n
+    for row, col in pivots:
+        x[col] = aug[row][n]
+    return x
+
+
+@st.composite
+def linear_systems(draw):
+    """(a, b) as Fraction lists, empty shapes included; b is random or a's
+    image of a random x, and a may gain -2 times its first row, with b's
+    entry following it (rank-deficient) or off by 1 (inconsistent)."""
+    m, n = draw(shapes)
+    a = draw(lists_of(m, n))
+    if draw(st.booleans()):
+        x = draw(st.lists(rationals, min_size=n, max_size=n))
+        b = [sum((p * q for p, q in zip(row, x)), Fraction(0)) for row in a]
+    else:
+        b = draw(st.lists(rationals, min_size=m, max_size=m))
+    if a and draw(st.booleans()):
+        a = a + [[-2 * p for p in a[0]]]
+        b = b + [-2 * b[0] + draw(st.sampled_from([0, 1]))]
+    return a, b
+
+
+@given(linear_systems())
+def test_solve_linear_matches_gauss_jordan(system):
+    a, b = system
+    solution = solve_linear([QVector(row) for row in a], QVector(b))
+    assert (None if solution is None else list(solution)) == reference_solve_linear(a, b)
+    assert solution is None or canonical(solution)

@@ -9,7 +9,6 @@ from ncvanish.evaluate import (
     eval_poly,
     nonvanishing_point,
     pi_test,
-    standard_poly,
     weyl_pair,
 )
 from ncvanish.linalg import QMatrix
@@ -23,6 +22,8 @@ from ncvanish.serialize import (
     save_document,
     verify_certificate,
 )
+
+from conftest import standard_poly
 
 
 def gen_problem(gens, target, d):
