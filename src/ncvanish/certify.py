@@ -8,20 +8,24 @@ Five problems are covered, all over the free algebra on d variables:
   linear span       g in span(f_1..f_l)
   composition       g in the unital subalgebra generated by one f
 
+The first four eliminate over words in one row echelon store (`WordRREF`).
 Every positive answer is a Combination that multiplies out to the target
 exactly; every negative answer is a Witness or a separating functional
-(`_separating_functional`) whose defining equalities and inequalities hold
-in exact rational arithmetic.  Both pass the checker of their kind
-(`checks`) before being returned; a failure raises InternalInconsistencyError
-because it can only come from a bug, never from the input.
+whose defining equalities and inequalities hold in exact rational
+arithmetic.  Tracial, span and composition Nos share one functional
+builder (`_separating_functional`), fed the store's rows or the powers.
+Both pass the checker of their kind (`checks`) before being returned; a
+failure raises InternalInconsistencyError because it can only come from a
+bug, never from the input.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import checks
 from .checks import InternalInconsistencyError, self_check
@@ -38,6 +42,11 @@ EIGEN_ATTEMPTS_PER_SIZE = 25
 
 class NonHomogeneousGeneratorError(ValueError):
     """General two-sided membership is refused; generators must be homogeneous."""
+
+
+def _same_variable_count(f_list: Sequence[NcPoly], g: NcPoly) -> None:
+    if any(f.d != g.d for f in f_list):
+        raise ValueError("generators and target must share the variable count")
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +161,8 @@ class CompositionNotMember:
 
 # A row maps words to coefficients; an expression maps opaque keys (whatever
 # identifies the inserted element) to coefficients.  Pivot = deglex-greatest
-# word.  Stored rows are monic and inter-reduced, so reducing an incoming row
-# never re-introduces a pivot word.
+# word.  Stored rows are monic and in echelon form: a row holds no pivot word
+# greater than its own, so reducing greatest-first ends.
 
 SparseRow = Dict[Word, Fraction]
 Expr = Dict[object, Fraction]
@@ -169,50 +178,51 @@ def _row_axpy(target: Dict, coeff: Fraction, source: Dict) -> None:
             target.pop(key, None)
 
 
+def _descending(word: Word) -> Tuple[Tuple[int, Word], Word]:
+    """Heap entry popping the deglex-greatest word first."""
+    return (-len(word), tuple(-i for i in word)), word
+
+
 class WordRREF:
-    """Incremental reduced row echelon form over word coordinates."""
+    """Incremental row echelon form over word coordinates."""
 
     def __init__(self) -> None:
         self.rows: Dict[Word, SparseRow] = {}
         self.exprs: Dict[Word, Expr] = {}
 
-    def reduce(self, row: SparseRow, expr: Expr) -> Tuple[SparseRow, Expr]:
-        """Eliminate every pivot word; returns the remainder and the
-        accumulated expression (remainder = input - sum expr[k]*element_k)."""
+    def reduce(self, row: SparseRow) -> Tuple[SparseRow, Expr]:
+        """Remove pivot words greatest-first; returns (remainder, combination)
+        with row = remainder + sum of combination[k] * element keyed k."""
         row = dict(row)
-        expr = dict(expr)
-        for word in [w for w in row if w in self.rows]:
-            coeff = row[word]
-            _row_axpy(row, coeff, self.rows[word])
-            _row_axpy(expr, coeff, self.exprs[word])
-        return row, expr
+        combination: Expr = {}
+        heap = [_descending(w) for w in row if w in self.rows]
+        heapq.heapify(heap)
+        while heap:
+            word = heapq.heappop(heap)[1]
+            coeff = row.get(word)
+            if coeff is None:  # cancelled, or popped twice
+                continue
+            pivot_row = self.rows[word]
+            for u in pivot_row:
+                if u not in row and u in self.rows:
+                    heapq.heappush(heap, _descending(u))
+            _row_axpy(row, coeff, pivot_row)
+            _row_axpy(combination, -coeff, self.exprs[word])
+        return row, combination
 
-    def insert(self, row: SparseRow, expr: Expr) -> bool:
-        """Add one element; returns False when dependent on the store."""
-        row, expr = self.reduce(row, expr)
-        if not row:
+    def insert(self, row: SparseRow, key: object) -> bool:
+        """Add one element under `key`; returns False when the store spans it."""
+        remainder, combination = self.reduce(row)
+        if not remainder:
             return False
-        pivot = max(row, key=deglex_key)
-        inv = 1 / row[pivot]
-        row = {w: c * inv for w, c in row.items()}
-        expr = {k: c * inv for k, c in expr.items()}
-        for other_row, other_expr in zip(self.rows.values(), self.exprs.values()):
-            if pivot in other_row:
-                coeff = other_row[pivot]
-                _row_axpy(other_row, coeff, row)
-                _row_axpy(other_expr, coeff, expr)
-        self.rows[pivot] = row
-        self.exprs[pivot] = expr
+        pivot = max(remainder, key=deglex_key)
+        inv = 1 / remainder[pivot]
+        self.rows[pivot] = {w: c * inv for w, c in remainder.items()}
+        self.exprs[pivot] = {**{k: -c * inv for k, c in combination.items()}, key: inv}
         return True
 
     def __contains__(self, word: Word) -> bool:
         return word in self.rows
-
-
-def _combination_from_expr(expr: Expr) -> Dict:
-    """After reduce() returns an empty remainder, input = sum of (-expr[k])
-    times the element keyed k."""
-    return {k: -c for k, c in expr.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +275,13 @@ def weak_basis(f_list: Sequence[NcPoly]) -> WeakBasis:
                 top = other.lead_part()
                 for w in words_of_length(d, room):
                     shifted = {w + u: c for u, c in top.terms.items()}
-                    rref.insert(shifted, {(opos, w): Fraction(1)})
-            remainder, acc = rref.reduce(dict(poly.lead_part().terms), {})
+                    rref.insert(shifted, (opos, w))
+            remainder, combination = rref.reduce(poly.lead_part().terms)
             if remainder:
                 continue
             new_poly = poly
             new_expr = dict(expr)
-            for (opos, w), coeff in _combination_from_expr(acc).items():
+            for (opos, w), coeff in combination.items():
                 other, other_expr = elements[opos]
                 shift = NcPoly.from_word(w, d, coeff)
                 new_poly = new_poly - shift * other
@@ -306,8 +316,8 @@ def weak_basis(f_list: Sequence[NcPoly]) -> WeakBasis:
 
 
 def _left_multiples_rref(basis: Sequence[NcPoly], d: int, limit: int) -> WordRREF:
-    """Reduced echelon store of {w*b : b in basis, deg(w*b) <= limit},
-    expressions keyed (basis index, word)."""
+    """Echelon store of {w*b : b in basis, deg(w*b) <= limit}, keyed
+    (basis index, word)."""
     rref = WordRREF()
     count = 0
     for i, b in enumerate(basis):
@@ -320,7 +330,7 @@ def _left_multiples_rref(basis: Sequence[NcPoly], d: int, limit: int) -> WordRRE
                         f"left-multiple span exceeded {MAX_SPAN_ENTRIES} coefficient entries"
                     )
                 shifted = {w + u: c for u, c in b.terms.items()}
-                rref.insert(shifted, {(i, w): Fraction(1)})
+                rref.insert(shifted, (i, w))
     return rref
 
 
@@ -365,7 +375,7 @@ def _shift_matrices(
     for w, k in index.items():
         for i in range(d):
             extended: Word = (i + 1,) + w
-            reduced, _ = rref.reduce({extended: Fraction(1)}, {})
+            reduced, _ = rref.reduce({extended: Fraction(1)})
             for u, c in reduced.items():
                 if u in index:
                     columns[i][index[u]][k] = c
@@ -383,9 +393,7 @@ def left_ideal_membership(
     theory, but no answer depends on it: a missed combination would surface
     as a witness failing verification, which raises instead of returning.
     """
-    for f in f_list:
-        if f.d != g.d:
-            raise ValueError("generators and target must share the variable count")
+    _same_variable_count(f_list, g)
     d = g.d
     if g.is_zero():
         return LeftCombination(tuple(NcPoly.zero(d) for _ in f_list))
@@ -395,10 +403,10 @@ def left_ideal_membership(
     delta = max([int(g.degree)] + degrees)
     rref = _left_multiples_rref(wb.reduced, d, delta + 1)
 
-    remainder, acc = rref.reduce(dict(g.terms), {})
+    remainder, combination = rref.reduce(g.terms)
     if not remainder:
         basis_cofactors: List[NcPoly] = [NcPoly.zero(d) for _ in wb.reduced]
-        for (i, w), coeff in _combination_from_expr(acc).items():
+        for (i, w), coeff in combination.items():
             basis_cofactors[i] = basis_cofactors[i] + NcPoly.from_word(w, d, coeff)
         cofactors = [NcPoly.zero(d) for _ in f_list]
         for q, expr in zip(basis_cofactors, wb.expressions):
@@ -419,10 +427,12 @@ def left_ideal_membership(
 
 
 def _two_sided_products(f_list: Sequence[NcPoly], d: int, limit: int) -> WordRREF:
-    """Echelon store of {u*f_j*v : deg(u f_j v) <= limit}, keys (j, u, v)."""
+    """Echelon store of {u*f_j*v : f_j nonzero, deg <= limit}, keys (j, u, v)."""
     rref = WordRREF()
     count = 0
     for j, f in enumerate(f_list):
+        if f.is_zero():
+            continue
         room = limit - int(f.degree)
         for left_len in range(room + 1):
             for u in words_of_length(d, left_len):
@@ -434,7 +444,7 @@ def _two_sided_products(f_list: Sequence[NcPoly], d: int, limit: int) -> WordRRE
                                 f"two-sided span exceeded {MAX_SPAN_ENTRIES} coefficient entries"
                             )
                         row = {u + w + v: c for w, c in f.terms.items()}
-                        rref.insert(row, {(j, u, v): Fraction(1)})
+                        rref.insert(row, (j, u, v))
     return rref
 
 
@@ -449,29 +459,25 @@ def hom_ideal_membership(
     from left multiplication on the truncated quotient: generators evaluate
     to genuinely zero matrices there.
     """
+    _same_variable_count(f_list, g)
     for f in f_list:
-        if f.d != g.d:
-            raise ValueError("generators and target must share the variable count")
-    generators = [f for f in f_list if not f.is_zero()]
-    for f in generators:
-        if not f.is_homogeneous():
+        if not f.is_zero() and not f.is_homogeneous():
             raise NonHomogeneousGeneratorError(
                 "two-sided membership requires homogeneous generators; got "
                 f"{f}"
             )
     d = g.d
-    index_of = {id(f): j for j, f in enumerate(f_list)}
     if g.is_zero():
         return HomCombination(tuple(() for _ in f_list))
 
     delta = int(g.degree)
-    rref = _two_sided_products(generators, d, delta)
-    remainder, acc = rref.reduce(dict(g.terms), {})
+    rref = _two_sided_products(f_list, d, delta)
+    remainder, combination = rref.reduce(g.terms)
     if not remainder:
+        # the combination is unique; sorting makes its order unique too
         pairs: List[List[Tuple[NcPoly, NcPoly]]] = [[] for _ in f_list]
-        for (j, u, v), coeff in _combination_from_expr(acc).items():
-            original = index_of[id(generators[j])]
-            pairs[original].append(
+        for (j, u, v), coeff in sorted(combination.items()):
+            pairs[j].append(
                 (NcPoly.from_word(u, d, coeff), NcPoly.from_word(v, d))
             )
         self_check(checks.hom_combination, f_list, g, pairs)
@@ -513,16 +519,23 @@ def _rotation_commutators(p: NcPoly) -> List[Tuple[NcPoly, NcPoly]]:
     return out
 
 
-def _separating_functional(rref: WordRREF, remainder: SparseRow, d: int) -> NcPoly:
+def _separating_functional(
+    rows: Iterable[Tuple[Word, SparseRow]], remainder: SparseRow, d: int
+) -> NcPoly:
     """Functional on words, as word -> coefficient, that vanishes on every
-    stored row and is 1 on an element whose reduction left `remainder`:
-    e_w minus the pivot rows' w-coefficients, scaled by 1/remainder[w], for
-    a word w of the remainder (never a pivot word)."""
+    row and is 1 on an element whose reduction by the rows left `remainder`.
+    `rows` are (lead word, terms) pairs with distinct lead words, none of
+    them in the remainder.  Built bottom-up: e_w / remainder[w] for the
+    greatest word w of the remainder, then, in increasing lead order, the
+    term at each lead word that zeroes the functional on that row (no later
+    lead word is in it)."""
     w = max(remainder, key=deglex_key)
-    scale = 1 / remainder[w]
-    terms = {pivot: -row[w] * scale for pivot, row in rref.rows.items() if w in row}
-    terms[w] = scale
-    return NcPoly(d, terms)
+    phi = {w: 1 / remainder[w]}
+    for lead, terms in sorted(rows, key=lambda row: deglex_key(row[0])):
+        value = sum(c * phi[u] for u, c in terms.items() if u in phi)
+        if value:
+            phi[lead] = -value / terms[lead]
+    return NcPoly(d, phi)
 
 
 def trace_membership(
@@ -531,26 +544,22 @@ def trace_membership(
     """Decide whether 1 (checked first) or g is a combination of the f_j and
     commutators; equivalently, whether tracial vanishing of all f_j forces
     tracial vanishing of g on every matrix size."""
-    for f in f_list:
-        if f.d != g.d:
-            raise ValueError("generators and target must share the variable count")
+    _same_variable_count(f_list, g)
     d = g.d
-    generators = [f for f in f_list if not f.is_zero()]
-    index_of = {id(f): j for j, f in enumerate(f_list)}
-
     rref = WordRREF()
-    for f in generators:
-        rref.insert(dict(f.cyclic_reduce().terms), {id(f): Fraction(1)})
+    for j, f in enumerate(f_list):
+        if not f.is_zero():
+            rref.insert(f.cyclic_reduce().terms, j)
 
     functionals = []
     for branch, target in (("one-in-span", NcPoly.one(d)), ("g-in-span", g)):
-        remainder, acc = rref.reduce(dict(target.cyclic_reduce().terms), {})
+        remainder, combination = rref.reduce(target.cyclic_reduce().terms)
         if remainder:
-            functionals.append(_separating_functional(rref, remainder, d))
+            functionals.append(_separating_functional(rref.rows.items(), remainder, d))
             continue
         lambdas = [Fraction(0)] * len(f_list)
-        for key, coeff in _combination_from_expr(acc).items():
-            lambdas[index_of[key]] += coeff
+        for j, coeff in combination.items():
+            lambdas[j] = coeff
         residual = target
         for lam, f in zip(lambdas, f_list):
             residual = residual - lam * f
@@ -574,24 +583,22 @@ def span_membership(
     S of its support, X_i maps e_s to e_{is} (0 when is is not in S),
     v = e_() and u = phi, so u^t p(X) v = phi(p) for every p.  `seed` has
     no effect; it is accepted for callers that still pass one."""
-    for f in f_list:
-        if f.d != g.d:
-            raise ValueError("generators and target must share the variable count")
+    _same_variable_count(f_list, g)
     d = g.d
 
     rref = WordRREF()
     for j, f in enumerate(f_list):
         if not f.is_zero():
-            rref.insert(dict(f.terms), {j: Fraction(1)})
-    remainder, acc = rref.reduce(dict(g.terms), {})
+            rref.insert(f.terms, j)
+    remainder, combination = rref.reduce(g.terms)
     if not remainder:
         coeffs = [Fraction(0)] * len(f_list)
-        for j, coeff in _combination_from_expr(acc).items():
-            coeffs[j] += coeff
+        for j, coeff in combination.items():
+            coeffs[j] = coeff
         self_check(checks.span_coefficients, f_list, g, coeffs)
         return SpanCoefficients(tuple(coeffs))
 
-    phi = _separating_functional(rref, remainder, d)
+    phi = _separating_functional(rref.rows.items(), remainder, d)
     suffixes = sorted({w[k:] for w in phi.terms for k in range(len(w) + 1)}, key=deglex_key)
     point, right, _ = _shift_matrices(WordRREF(), d, suffixes)
     left = QVector([phi.coeff(w) for w in suffixes])
@@ -626,14 +633,12 @@ def in_univariate_subalgebra(
     The powers f^0..f^m (`checks.inner_powers`, whose bound raises
     ResourceCapError here) have distinct lead words lead(f)^i and no higher
     power reaches g, so one top-down pass reduces g against them.  A
-    nonzero remainder r gives the separating functional, built bottom-up:
-    e_w / r_w for the greatest word w of r, plus at each lead word the term
-    that zeroes it on that power (a power has no later lead word).  With a
+    nonzero remainder gives the separating functional, with the powers as
+    its rows.  With a
     seed, the No also carries a sampled eigenvector witness: a point where
     f has a rational eigenvector that g fails to preserve.
     """
-    if f.d != g.d:
-        raise ValueError("generators and target must share the variable count")
+    _same_variable_count([f], g)
     try:
         powers = list(checks.inner_powers(f, g))
     except checks.CheckFailed as exc:
@@ -648,13 +653,7 @@ def in_univariate_subalgebra(
         self_check(checks.composition, f, g, coeffs)
         return CompositionCoefficients(tuple(coeffs))
 
-    w = max(remainder, key=deglex_key)
-    phi = {w: 1 / remainder[w]}
-    for power in powers:
-        value = sum(c * phi.get(u, 0) for u, c in power.terms.items())
-        if value:
-            phi[power.lead_word] = -value / power.lead_coeff
-    functional = NcPoly(g.d, phi)
+    functional = _separating_functional(((p.lead_word, p.terms) for p in powers), remainder, g.d)
     self_check(checks.composition_not_member, f, g, functional)
     witness = None if seed is None else _eigen_witness_search(g, f, seed)
     return CompositionNotMember(functional, witness)

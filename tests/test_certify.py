@@ -4,6 +4,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncvanish import checks
 from ncvanish.certify import (
@@ -18,6 +20,8 @@ from ncvanish.certify import (
     TraceCombination,
     TraceNotMember,
     WeakWitness,
+    WordRREF,
+    _separating_functional,
     hom_ideal_membership,
     in_univariate_subalgebra,
     left_ideal_membership,
@@ -27,10 +31,83 @@ from ncvanish.certify import (
 )
 from ncvanish.evaluate import classify_point, eval_poly, eval_poly_vector
 from ncvanish.linalg import QMatrix
-from ncvanish.poly import NcPoly, commutator, parse
+from ncvanish.poly import NcPoly, commutator, deglex_key, parse, words_of_length
 from ncvanish.serialize import encode_certificate, make_document, verify_certificate
 
 from conftest import random_nonzero_poly, random_poly
+
+
+# ---------------------------------------------------------------------------
+# the echelon store against a dense reference
+
+
+def reference_insert(reduced, row, words):
+    """Gauss-Jordan step over Fraction lists with columns `words`, greatest
+    word first: `reduced` keeps monic, inter-reduced rows keyed by pivot
+    word.  Returns False when `row` is in their span."""
+    dense = reference_remainder(reduced, [row.get(w, Fraction(0)) for w in words], words)
+    col = next((c for c, x in enumerate(dense) if x), None)
+    if col is None:
+        return False
+    dense = [x / dense[col] for x in dense]
+    for pivot, other in reduced.items():
+        factor = other[col]
+        reduced[pivot] = [x - factor * y for x, y in zip(other, dense)]
+    reduced[words[col]] = dense
+    return True
+
+
+def reference_remainder(reduced, dense, words):
+    for pivot, row in reduced.items():
+        factor = dense[words.index(pivot)]
+        if factor:
+            dense = [x - factor * y for x, y in zip(dense, row)]
+    return dense
+
+
+@st.composite
+def sparse_rows(draw):
+    """(d, rows): up to 7 sparse rows over words of length <= 3 in d <= 2
+    letters, and up to 2 more that are combinations of the first ones."""
+    d = draw(st.integers(1, 2))
+    words = [w for n in range(4) for w in words_of_length(d, n)]
+    coeffs = st.sampled_from([Fraction(a, b) for a in (-3, -2, -1, 1, 2, 3) for b in (1, 2, 3)])
+    row = st.dictionaries(st.sampled_from(words), coeffs, min_size=1, max_size=4)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        combined = {}
+        for source in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+            scale = draw(coeffs)
+            for w, c in source.items():
+                combined[w] = combined.get(w, Fraction(0)) + scale * c
+        rows.append({w: c for w, c in combined.items() if c} or {(): Fraction(1)})
+    return d, rows
+
+
+@given(sparse_rows())
+def test_word_rref_matches_dense_reference(case):
+    d, rows = case
+    words = sorted((w for n in range(4) for w in words_of_length(d, n)),
+                   key=deglex_key, reverse=True)
+    rref, reference = WordRREF(), {}
+    for k, row in enumerate(rows):
+        assert rref.insert(row, k) == reference_insert(reference, row, words)
+    assert set(rref.rows) == set(reference)
+    probes = rows + [{w: Fraction(1)} for w in words]
+    for probe in probes:
+        remainder, combination = rref.reduce(probe)
+        dense = reference_remainder(reference, [probe.get(w, Fraction(0)) for w in words], words)
+        assert remainder == {w: x for w, x in zip(words, dense) if x}
+        rebuilt = dict(remainder)
+        for k, c in combination.items():
+            for w, x in rows[k].items():
+                rebuilt[w] = rebuilt.get(w, Fraction(0)) + c * x
+        assert {w: x for w, x in rebuilt.items() if x} == probe
+        if remainder:
+            phi = _separating_functional(rref.rows.items(), remainder, d)
+            value = lambda row: sum(c * phi.coeff(w) for w, c in row.items())
+            assert all(value(row) == 0 for row in rows)
+            assert value(probe) == 1
 
 
 # ---------------------------------------------------------------------------

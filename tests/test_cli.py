@@ -142,6 +142,29 @@ def test_ideal_witness_past_max_witness_dimension_fails_in_one_line(capsys, argv
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["member-hom", "-d", "2", "-f", "x1*x1", "-g", "x2^14"],
+    ["member-left", "-d", "2", "-f", "x1", "-g", "x2^15"],
+], ids=["hom-x2^14", "left-x2^15"])
+def test_ideal_store_reaches_the_witness_cap_in_seconds(capsys, argv):
+    # tens of thousands of monomial multiples: each insert reduces one row,
+    # it does not revisit the stored ones
+    started = time.perf_counter()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_WITNESS_DIMENSION" in err and err.count("\n") == 1
+    assert time.perf_counter() - started < 3
+
+
+def test_left_member_over_a_long_generator_is_fast(tmp_path):
+    started = time.perf_counter()
+    assert run(["member-left", "-d", "2", "-f", "x1", "-f", "x2^14", "-g", "x1"]) == 0
+    doc = load_cert(tmp_path / "member-left.cert.json")
+    assert doc["certificate"]["kind"] == "left_combination"
+    assert run(["verify-cert", "member-left.cert.json"]) == 0
+    assert time.perf_counter() - started < 3
+
+
 def test_two_sided_witness_is_capped_by_its_own_size(tmp_path):
     # 511 words up to degree 8, of which 45 are not leading words of the ideal
     argv = ["member-hom", "-d", "2", "-f", "x1*x2 - x2*x1", "-g", "x1^4*x2^4"]
