@@ -20,7 +20,9 @@ points: `rank_at` computes the exact rank at a stored point for
 `lowrank_exact`, `reference_witnesses` and `rankprofile`, and a False
 `pi_result` is checked by evaluating at its point.  Only a True
 `pi_result`, and the 2x2 identity of the reference polynomial, run the
-symbolic expansion of `pi_test`, because the expansion is their proof.
+symbolic path-sum expansion of `pi_test` on generic matrices, because the
+expansion is their proof; `evaluate.PI_MAX_OPS` bounds it (s6 on 3x3, an
+Amitsur-Levitzki identity, charges about 2.2 million of its 10 million).
 """
 
 from __future__ import annotations

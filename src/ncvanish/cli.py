@@ -229,8 +229,8 @@ def _run_eval(args):
     problem = {"d": args.d, "polynomial": format_poly(f), "point": point.to_json()}
     cert = serialize.tagged("eval", value=value.to_json())
     print(f"value of {args.f} at the {point.n}x{point.n} tuple:")
-    for row in value.entries:
-        print("  [" + ", ".join(str(e) for e in row) + "]")
+    for row in cert["value"]:
+        print("  [" + ", ".join(row) + "]")
     inputs = {"polynomial": _digest(problem["polynomial"]), "point": _digest_file(args.point)}
     return EXIT_OK, problem, cert, "evaluated", inputs
 

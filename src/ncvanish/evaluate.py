@@ -5,26 +5,32 @@ n-by-n rational matrices; everything here is exact.  Every evaluator, the
 exact, vector, symbolic and (in `lowrank`) float ones, builds its word values
 with the one sorted prefix walk of `prefix_products`.  Identity testing on a
 full matrix level (does f vanish on all n-by-n tuples?) is decided
-symbolically by evaluating on generic matrices whose entries are independent
-commuting indeterminates.  One expansion serves both answers: `pi_test`
-reads only whether an entry is nonzero, and `nonvanishing_point` turns a
-nonzero entry into an integer point where f(X) != 0, the evidence a No
-stores so that a checker only evaluates.  The seeded random tuples here are
-candidates for the search engines; checkers never draw them.
+symbolically on generic matrices whose entries are independent commuting
+indeterminates: entry (i, j) of a word is a sum over the paths from i to j,
+one monomial per path, so f is expanded row by row as int-keyed path sums
+with integer coefficients, bounded by PI_MAX_OPS.  One expansion serves both
+answers: `pi_test` reads only whether an entry is nonzero, and
+`nonvanishing_point` turns a nonzero entry into an integer point where
+f(X) != 0, the evidence a No stores so that a checker only evaluates.  The
+seeded random tuples here are candidates for the search engines; checkers
+never draw them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .linalg import QMatrix, QVector, rank_det_kernel
 from .poly import NcPoly, Word, commutator
 
-PI_MAX_OPS = 10_000_000  # monomial products of one symbolic identity test
+PI_MAX_OPS = 10_000_000  # 64-bit words of monomial keys one identity test builds or touches
 
 T = TypeVar("T")
 
@@ -111,17 +117,17 @@ class MatTuple:
 # ---------------------------------------------------------------------------
 
 
-def prefix_products(words: Iterable[Word], unit: T, step: Callable[[T, int], T]) -> Dict[Word, T]:
-    """Value of every word, built from `unit` by `step(value, letter)` one
-    letter at a time, left to right.
+def prefix_products(words: Iterable[Word], unit: T,
+                    step: Callable[[T, int], T]) -> Iterator[Tuple[Word, T]]:
+    """Each word with its value, in sorted order, the value built
+    from `unit` by `step(value, letter)` one letter at a time, left to right.
 
     In sorted order the words sharing a prefix are consecutive, so a stack
     of the current word's prefix values, cut to the length it shares with
     the next word, steps each distinct prefix once and keeps only values a
-    later word starts from.
+    later word starts from; a word's value is kept only by the caller.
     """
     ordered = sorted(words)
-    values: Dict[Word, T] = {}
     stack = [unit]
     for word, following in zip(ordered, ordered[1:] + [()]):
         keep = next((k for k, (a, b) in enumerate(zip(word, following)) if a != b),
@@ -131,9 +137,8 @@ def prefix_products(words: Iterable[Word], unit: T, step: Callable[[T, int], T])
             value = step(value, word[k])
             if k < keep:
                 stack.append(value)
-        values[word] = value
+        yield word, value
         del stack[keep + 1:]
-    return values
 
 
 def eval_poly(f: NcPoly, point: MatTuple) -> QMatrix:
@@ -145,8 +150,8 @@ def eval_poly(f: NcPoly, point: MatTuple) -> QMatrix:
     """
     if f.d != point.d:
         raise ValueError(f"variable count mismatch: polynomial {f.d}, tuple {point.d}")
-    values = prefix_products(f.terms, QMatrix.identity(point.n),
-                             lambda value, letter: value @ point[letter - 1])
+    values = dict(prefix_products(f.terms, QMatrix.identity(point.n),
+                                  lambda value, letter: value @ point[letter - 1]))
     terms = (coeff * values[word] for word, coeff in f.terms.items())
     return sum(terms, QMatrix.zeros(point.n, point.n))
 
@@ -161,8 +166,8 @@ def eval_poly_vector(f: NcPoly, point: MatTuple, v: QVector) -> QVector:
         raise ValueError(f"variable count mismatch: polynomial {f.d}, tuple {point.d}")
     if len(v) != point.n:
         raise ValueError("vector length must match matrix size")
-    values = prefix_products((word[::-1] for word in f.terms), v,
-                             lambda value, letter: point[letter - 1] @ value)
+    values = dict(prefix_products((word[::-1] for word in f.terms), v,
+                                  lambda value, letter: point[letter - 1] @ value))
     terms = (coeff * values[word[::-1]] for word, coeff in f.terms.items())
     return sum(terms, QVector.zero(point.n))
 
@@ -202,170 +207,115 @@ def random_tuple(rng: random.Random, n: int, d: int, k: int = 5) -> MatTuple:
 
 
 # ---------------------------------------------------------------------------
-# Commutative polynomials and symbolic identity testing
+# Symbolic identity testing by path sums
 # ---------------------------------------------------------------------------
 
 
-class CPoly:
-    """Sparse commutative polynomial over the rationals.
+def _nonzero_entry(f: NcPoly, n: int) -> Optional[Tuple[Dict[int, int], List[Tuple[int, int]]]]:
+    """First nonzero entry, in row-major order, of f on generic n-by-n
+    matrices, up to a positive scale, with the key fields of its monomials;
+    None when every entry is zero.
 
-    A monomial is a sorted tuple of variable ids with multiplicity, e.g.
-    (0, 0, 3) = v0^2 * v3; the empty tuple is the constant monomial.
-    """
+    The generic entry x_{v,(j,k)} of X_v has id v*n*n + j*n + k.  Entry
+    (i, j) of a word's value is the sum over the paths i = p_0, .., p_len = j
+    of the monomials x_{w_1,(p_0,p_1)} .. x_{w_len,(p_len-1,p_len)}, so row
+    i is a dict per column from monomial to path count, stepped from e_i one
+    letter at a time: a state (j, m) goes to (k, m * x_{v,(j,k)}) for every
+    k.  `prefix_products` walks the words without their last letter; each
+    value is stepped by the last letters, with the words' coefficients,
+    straight into the row's sum and then dropped, so neither word values
+    nor more than one row are ever held.  A nonzero row ends the walk.
 
-    __slots__ = ("terms",)
+    A monomial is one int key: the exponent of entry id e sits in the bit
+    field fields[e] = (shift, width), as wide as the most occurrences of its
+    letter in one word, so multiplying by an entry adds 1 << shift and never
+    carries.  Coefficients are f's times the lcm of their denominators.
 
-    def __init__(self, terms: Optional[Dict[Tuple[int, ...], Fraction]] = None):
-        self.terms: Dict[Tuple[int, ...], Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff != 0:
-                    self.terms[tuple(sorted(mono))] = Fraction(coeff)
-
-    @staticmethod
-    def constant(c) -> "CPoly":
-        return CPoly({(): Fraction(c)})
-
-    @staticmethod
-    def variable(i: int) -> "CPoly":
-        return CPoly({(i,): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "CPoly") -> "CPoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        result = CPoly()
-        result.terms = out
-        return result
-
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        return self + other * Fraction(-1)
-
-    def __mul__(self, other) -> "CPoly":
-        if isinstance(other, (int, Fraction)):
-            result = CPoly()
-            if other != 0:
-                result.terms = {m: c * other for m, c in self.terms.items()}
-            return result
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(sorted(ma + mb))
-                s = out.get(mono, Fraction(0)) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        result = CPoly()
-        result.terms = out
-        return result
-
-    __rmul__ = __mul__
-
-    def variables(self) -> List[int]:
-        seen = set()
-        for mono in self.terms:
-            seen.update(mono)
-        return sorted(seen)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(len(m) for m in self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "CPoly(0)"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            bits.append(f"{self.terms[mono]}*{mono}")
-        return "CPoly(" + " + ".join(bits) + ")"
-
-
-def _generic_matrices(n: int, d: int) -> List[List[List[CPoly]]]:
-    """d generic n-by-n matrices with pairwise distinct commuting entries."""
-    mats = []
-    for k in range(d):
-        mats.append(
-            [[CPoly.variable(k * n * n + i * n + j) for j in range(n)] for i in range(n)]
-        )
-    return mats
-
-
-def _cpoly_mat_mul(a: List[List[CPoly]], b: List[List[CPoly]], count: List[int]) -> List[List[CPoly]]:
-    n = len(a)
-    out = [[CPoly() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = CPoly()
-            for k in range(n):
-                count[0] += len(a[i][k].terms) * len(b[k][j].terms)
-                if count[0] > PI_MAX_OPS:
-                    raise ResourceCapError(
-                        f"symbolic identity test exceeded {PI_MAX_OPS} monomial products"
-                    )
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
-    return out
-
-
-def _nonzero_entry(f: NcPoly, n: int) -> Optional[CPoly]:
-    """First nonzero entry, in row-major order, of f expanded on generic
-    n-by-n matrices; None when every entry is zero.  Raises
-    ResourceCapError when the expansion exceeds PI_MAX_OPS monomial products.
+    PI_MAX_OPS bounds the 64-bit words of keys built or touched: the field
+    table, then every state a step sends on, each charged before it is done
+    (a last step also counts its coefficient's extra words).  Past the cap
+    ResourceCapError is raised.
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    generic = _generic_matrices(n, f.d)
-    identity = [[CPoly.constant(int(i == j)) for j in range(n)] for i in range(n)]
-    count = [0]
-    values = prefix_products(
-        f.terms, identity, lambda value, letter: _cpoly_mat_mul(value, generic[letter - 1], count)
-    )
-    entries = (
-        sum((values[word][i][j] * coeff for word, coeff in f.terms.items()), CPoly())
-        for i in range(n) for j in range(n)
-    )
-    return next((entry for entry in entries if not entry.is_zero()), None)
+    widths = [0] * f.d
+    for word in f.terms:
+        for letter in set(word):
+            widths[letter - 1] = max(widths[letter - 1], word.count(letter).bit_length())
+    key_words = max(1, -(-n * n * sum(widths) // 64))
+    spent = 0
+
+    def charge(states: int, words: int) -> None:
+        nonlocal spent
+        spent += states * words
+        if spent > PI_MAX_OPS:
+            raise ResourceCapError(
+                f"identity test exceeds PI_MAX_OPS = {PI_MAX_OPS} words of monomial keys")
+
+    charge(f.d * n * n, key_words)
+    fields, shift = [], 0
+    for width in widths:
+        for _ in range(n * n):
+            fields.append((shift, width))
+            shift += width
+    table = [[[1 << fields[v * n * n + j * n + k][0] for k in range(n)] for j in range(n)]
+             for v in range(f.d)]
+
+    def step(row: List[Dict[int, int]], letter: int, scale: int = 1,
+             out: Optional[List[Dict[int, int]]] = None) -> List[Dict[int, int]]:
+        """out + scale * row @ X_letter, updating out's dicts in place."""
+        charge(n * sum(map(len, row)), key_words + abs(scale).bit_length() // 64)
+        out = out or [{} for _ in range(n)]
+        for entry, incs in zip(row, table[letter - 1]):
+            items = entry.items() if scale == 1 else [(key, scale * c) for key, c in entry.items()]
+            for target, inc in zip(out, incs):
+                get = target.get
+                for key, c in items:
+                    key += inc
+                    target[key] = get(key, 0) + c
+        return out
+
+    lcm = math.lcm(*(c.denominator for c in f.terms.values()))
+    # word minus its last letter -> (last letter, or 0 for the constant; coefficient)
+    lasts: Dict[Word, List[Tuple[int, int]]] = {}
+    for word, c in f.terms.items():
+        lasts.setdefault(word[:-1], []).append((word[-1] if word else 0,
+                                                c.numerator * (lcm // c.denominator)))
+    for i in range(n):
+        total: List[Dict[int, int]] = [{} for _ in range(n)]
+        for parent, row in prefix_products(lasts, [{0: 1} if j == i else {} for j in range(n)], step):
+            for letter, c in lasts[parent]:
+                if letter:
+                    step(row, letter, c, total)
+                else:
+                    total[i][0] = c
+        entry = next((entry for entry in total if any(entry.values())), None)
+        if entry is not None:
+            return {key: c for key, c in entry.items() if c}, fields
+    return None
 
 
 def pi_test(f: NcPoly, n: int) -> bool:
     """Does f vanish identically on all n-by-n matrix tuples?
 
-    Decided exactly by expanding f on generic matrices.  Raises
-    ResourceCapError when the expansion exceeds PI_MAX_OPS monomial products.
+    Decided exactly by the path-sum expansion of f on generic matrices.
+    Raises ResourceCapError when it exceeds PI_MAX_OPS.
     """
     return _nonzero_entry(f, n) is None
 
 
-def _fix(
-    terms: Dict[Tuple[int, ...], Fraction], var: int, value: int
-) -> Dict[Tuple[int, ...], Fraction]:
-    """The terms with one variable set to an integer; at 0 the monomials
-    containing it just drop."""
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    for mono, coeff in terms.items():
-        power = mono.count(var)
+def _fix(terms: Dict[int, int], field: Tuple[int, int], value: int) -> Dict[int, int]:
+    """The terms with the generic entry of one key field set to an integer;
+    at 0 the monomials containing it just drop."""
+    shift, width = field
+    out: Dict[int, int] = {}
+    for key, coeff in terms.items():
+        power = (key >> shift) & ((1 << width) - 1)
         if power and not value:
             continue
-        rest = tuple(v for v in mono if v != var) if power else mono
+        rest = key - (power << shift)
         out[rest] = out.get(rest, 0) + coeff * value**power
-    return {mono: coeff for mono, coeff in out.items() if coeff}
+    return {key: coeff for key, coeff in out.items() if coeff}
 
 
 def nonvanishing_point(f: NcPoly, n: int) -> Optional[MatTuple]:
@@ -373,21 +323,25 @@ def nonvanishing_point(f: NcPoly, n: int) -> Optional[MatTuple]:
     else an integer n-by-n point where f(X) != 0.
 
     The generic entries of a nonzero entry P of the expansion are fixed one
-    at a time, each to the least c in 0, 1, .., deg that keeps P nonzero: a
-    c that fails makes (entry - c) a factor of P, so at most deg values
-    fail.  Entries P does not use are 0.
+    at a time, in id order, each to the least c in 0, 1, .., deg that keeps
+    P nonzero: a c that fails makes (entry - c) a factor of P, so at most
+    deg values fail.  Entries P does not use are 0.
     """
-    entry = _nonzero_entry(f, n)
-    if entry is None:
+    found = _nonzero_entry(f, n)
+    if found is None:
         return None
-    terms, values = entry.terms, {}
-    for var in entry.variables():
+    terms, fields = found
+    used = functools.reduce(operator.or_, terms)
+    values = []
+    for shift, width in fields:
         value = 0
-        while not (fixed := _fix(terms, var, value)):
-            value += 1
-        terms, values[var] = fixed, value
+        if (used >> shift) & ((1 << width) - 1):
+            while not (fixed := _fix(terms, (shift, width), value)):
+                value += 1
+            terms = fixed
+        values.append(value)
     return MatTuple([
-        QMatrix([[values.get(k * n * n + i * n + j, 0) for j in range(n)] for i in range(n)])
+        QMatrix([values[k * n * n + i * n:k * n * n + (i + 1) * n] for i in range(n)])
         for k in range(f.d)
     ])
 

@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import checks
 from .checks import Mat2, diag2, mat2_mul, self_check
-from .evaluate import CPoly, MatTuple, eval_poly
+from .evaluate import MatTuple, eval_poly
 from .linalg import QVector, rank_det_kernel, rational_roots
 from .lowrank import candidate_tuples
 from .poly import NcPoly, Word, deglex_key
@@ -33,6 +33,97 @@ SOLVE_NODE_CAP = 20_000  # search nodes of one split system; past it the split i
 # exact propagation: substitute along linear equations, branch on rational
 # roots of univariate ones, branch on the zero product of pure monomial ones.
 # Anything this cannot finish marks the search incomplete instead of guessing.
+
+
+class CPoly:
+    """Sparse commutative polynomial over the rationals.
+
+    A monomial is a sorted tuple of variable ids with multiplicity, e.g.
+    (0, 0, 3) = v0^2 * v3; the empty tuple is the constant monomial.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[Dict[Tuple[int, ...], Fraction]] = None):
+        self.terms: Dict[Tuple[int, ...], Fraction] = {}
+        if terms:
+            for mono, coeff in terms.items():
+                if coeff != 0:
+                    self.terms[tuple(sorted(mono))] = Fraction(coeff)
+
+    @staticmethod
+    def constant(c) -> "CPoly":
+        return CPoly({(): Fraction(c)})
+
+    @staticmethod
+    def variable(i: int) -> "CPoly":
+        return CPoly({(i,): Fraction(1)})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: "CPoly") -> "CPoly":
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            s = out.get(mono, Fraction(0)) + c
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+        result = CPoly()
+        result.terms = out
+        return result
+
+    def __sub__(self, other: "CPoly") -> "CPoly":
+        return self + other * Fraction(-1)
+
+    def __mul__(self, other) -> "CPoly":
+        if isinstance(other, (int, Fraction)):
+            result = CPoly()
+            if other != 0:
+                result.terms = {m: c * other for m, c in self.terms.items()}
+            return result
+        out: Dict[Tuple[int, ...], Fraction] = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                mono = tuple(sorted(ma + mb))
+                s = out.get(mono, Fraction(0)) + ca * cb
+                if s:
+                    out[mono] = s
+                else:
+                    out.pop(mono, None)
+        result = CPoly()
+        result.terms = out
+        return result
+
+    __rmul__ = __mul__
+
+    def variables(self) -> List[int]:
+        seen = set()
+        for mono in self.terms:
+            seen.update(mono)
+        return sorted(seen)
+
+    def total_degree(self) -> int:
+        if not self.terms:
+            return -1
+        return max(len(m) for m in self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "CPoly(0)"
+        bits = []
+        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
+            bits.append(f"{self.terms[mono]}*{mono}")
+        return "CPoly(" + " + ".join(bits) + ")"
 
 
 def _substitute(p: CPoly, var: int, replacement: CPoly) -> CPoly:

@@ -7,7 +7,9 @@ every numerator is 1), so equal values have equal storage and `==` and
 gcd pass when the denominator is 1, as it is on every integer point.
 Fractions appear only at the boundary: `entries`, indexing, `trace`, `dot`
 and determinants.  String entries are decoded once, at construction, and
-refused past MAX_ENTRY_BITS before they are built.  Rank, determinant,
+refused past MAX_ENTRY_BITS before they are built; within it, integers and
+quotients are read and written in pieces, past the interpreter's int/str
+digit limit, which stays as it is.  Rank, determinant,
 kernel and linear solves all come from one fraction-free (Bareiss)
 elimination of the numerators.  Pivoting is deterministic everywhere: the
 first nonzero entry in column order wins, so identical inputs give identical
@@ -17,6 +19,7 @@ outputs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -26,6 +29,52 @@ from typing import List, Optional, Sequence, Tuple, Union
 MAX_ENTRY_BITS = 100_000  # numerator or denominator bits of one decoded entry, as poly.MAX_PARSE_BITS
 # decimal digits whose value fits in MAX_ENTRY_BITS bits (log10 2 = 0.30103)
 _MAX_ENTRY_DIGITS = MAX_ENTRY_BITS * 30103 // 100_000
+# digits of one piece of a long int/str conversion: below the threshold
+# (640) under which the interpreter never applies its digit limit
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+# an optionally signed integer or quotient of integers, as Fraction reads it
+_PLAIN = re.compile(r"\s*([-+]?)(\d+)(?:\s*/\s*(\d+))?\s*")
+
+
+def _int_of(digits: str) -> int:
+    """int(digits) for a string of decimal digits, read in pieces, so that
+    no conversion meets the interpreter's int/str digit limit."""
+    value = 0
+    for start in range(0, len(digits), _PIECE_DIGITS):
+        piece = digits[start:start + _PIECE_DIGITS]
+        value = value * 10**len(piece) + int(piece)
+    return value
+
+
+def _int_text(value: int) -> str:
+    """str(value) written in pieces, as `_int_of` reads it; refused past
+    MAX_ENTRY_BITS, where no reader would accept it."""
+    magnitude = abs(value)
+    if magnitude.bit_length() > MAX_ENTRY_BITS:
+        raise ValueError(f"entry exceeds MAX_ENTRY_BITS = {MAX_ENTRY_BITS}")
+    pieces = []
+    while magnitude >= _PIECE:
+        magnitude, low = divmod(magnitude, _PIECE)
+        pieces.append(str(low).zfill(_PIECE_DIGITS))
+    pieces.append(str(magnitude))
+    return "-" * (value < 0) + "".join(reversed(pieces))
+
+
+def rational_text(value: Union[int, Fraction]) -> str:
+    """str(value), also past the interpreter's int/str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        text = _int_text(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{_int_text(value.denominator)}"
+
+
+def _texts(values: Sequence[Union[int, Fraction]]) -> List[str]:
+    try:
+        return list(map(str, values))
+    except ValueError:
+        return list(map(rational_text, values))
 
 
 def _decode(text: str) -> Union[int, Fraction]:
@@ -33,7 +82,8 @@ def _decode(text: str) -> Union[int, Fraction]:
     numerator or denominator Fraction would build has more decimal digits
     than MAX_ENTRY_BITS bits hold (mantissa digits plus the exponent).  An
     integer literal goes through int(), which reads a string only where
-    Fraction reads it, and to the same value."""
+    Fraction reads it, and to the same value; an integer or quotient past
+    the interpreter's int/str digit limit is read by `_int_of`."""
     if len(text) <= _MAX_ENTRY_DIGITS:
         try:
             return int(text)
@@ -45,6 +95,16 @@ def _decode(text: str) -> Union[int, Fraction]:
     shift = int(exponent[:10]) if exponent.isdecimal() else 0
     if sum(map(str.isdigit, mantissa)) + shift > _MAX_ENTRY_DIGITS:
         raise ValueError(f"entry exceeds MAX_ENTRY_BITS = {MAX_ENTRY_BITS}")
+    plain = _PLAIN.fullmatch(text)
+    if plain:
+        sign, numerator, denominator = plain.groups()
+        value = -_int_of(numerator) if sign == "-" else _int_of(numerator)
+        if denominator is None:
+            return value
+        denominator = _int_of(denominator)
+        if not denominator:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(value, denominator)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -116,7 +176,7 @@ class QVector:
 
     def to_json(self) -> List[str]:
         """Entries as the strings str(Fraction) writes."""
-        return list(map(str, self.num if self.den == 1 else self.entries))
+        return _texts(self.num if self.den == 1 else self.entries)
 
     def __len__(self) -> int:
         return len(self.num)
@@ -222,7 +282,7 @@ class QMatrix:
 
     def to_json(self) -> List[List[str]]:
         """Rows of entries as the strings str(Fraction) writes."""
-        return [list(map(str, row)) for row in (self.num if self.den == 1 else self.entries)]
+        return [_texts(row) for row in (self.num if self.den == 1 else self.entries)]
 
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -91,7 +91,7 @@ def _eval_float_batch(f: NcPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
     """
     batch, n = mats[0].shape[0], mats[0].shape[1]
     eye = np.broadcast_to(np.eye(n), (batch, n, n))
-    values = prefix_products(f.terms, eye, lambda value, letter: value @ mats[letter - 1])
+    values = dict(prefix_products(f.terms, eye, lambda value, letter: value @ mats[letter - 1]))
     terms = (float(coeff) * values[word] for word, coeff in f.terms.items())
     return sum(terms, np.zeros((batch, n, n)))
 

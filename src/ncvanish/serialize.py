@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Sequence
 from . import checks
 from .checks import CheckFailed
 from .evaluate import MatTuple, eval_poly
-from .linalg import QMatrix, QVector, rational
+from .linalg import QMatrix, QVector, rational, rational_text
 from .poly import NcPoly, format_poly, parse
 
 FORMAT_NAME = "ncvanish-certificate"
@@ -80,7 +80,7 @@ def _json(value):
     if isinstance(value, (MatTuple, QMatrix, QVector)):
         return value.to_json()
     if isinstance(value, Fraction):
-        return str(value)
+        return rational_text(value)
     if hasattr(value, "_asdict") or dataclasses.is_dataclass(value):
         fields = value._asdict() if hasattr(value, "_asdict") else vars(value)
         out = {name: _json(v) for name, v in fields.items()}

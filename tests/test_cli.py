@@ -6,7 +6,10 @@ import pytest
 from ncvanish import certify, cli
 from ncvanish.cli import dispatch
 from ncvanish.evaluate import weyl_pair
+from ncvanish.poly import format_poly
 from ncvanish.serialize import load_document, save_document, verify_certificate
+
+from conftest import standard_poly
 
 
 def run(argv):
@@ -221,6 +224,15 @@ def test_eval_against_point_file(tmp_path):
     assert all(value[i][j] == "0" for i in range(3) for j in range(3) if (i, j) != (2, 2))
 
 
+def test_eval_value_past_the_int_str_digit_limit(tmp_path):
+    # 3^10000 has 4772 digits, more than str() of an int writes by default
+    (tmp_path / "p3.json").write_text(json.dumps({"n": 1, "d": 1, "matrices": [[["3"]]]}))
+    assert run(["eval", "-d", "1", "-f", "x1^10000", "--point", "p3.json"]) == 0
+    value = load_cert(tmp_path / "eval.cert.json")["certificate"]["value"][0][0]
+    assert len(value) == 4772 and value.startswith("1631350185") and value.endswith("6552200001")
+    assert run(["verify-cert", "eval.cert.json"]) == 0
+
+
 def test_eval_dimension_mismatch(tmp_path):
     point_path = tmp_path / "point.json"
     save_document(weyl_pair(2).to_json(), str(point_path))
@@ -392,6 +404,40 @@ def test_identity_of_long_words_verifies(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify-cert", "pi.cert.json"]) == 0
     assert capsys.readouterr().out.startswith("VERIFIED")
+
+
+@pytest.mark.parametrize("argv, seconds", [
+    (["-d", "2", "-f", "x1^1000*x2 - x2*x1^1000", "-n", "2"], 8),
+    (["-d", "1", "-f", "x1", "-n", "3000"], 1),
+], ids=["long-words", "large-n"])
+def test_pi_past_its_cap_fails_in_one_line(capsys, argv, seconds):
+    # the first runs for minutes and the second builds 9 million generic
+    # entries unless the work is charged to PI_MAX_OPS before it is done
+    started = time.perf_counter()
+    assert run(["pi"] + argv) == 1
+    assert time.perf_counter() - started < seconds
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "PI_MAX_OPS = 10000000" in err and err.count("\n") == 1
+
+
+def test_identity_of_s6_on_3x3_verifies_fast(tmp_path, capsys):
+    # Amitsur-Levitzki: s6 vanishes on 3x3 matrices
+    assert run(["pi", "-d", "6", f"-f={format_poly(standard_poly(6))}", "-n", "3"]) == 0
+    started = time.perf_counter()
+    assert run(["verify-cert", "pi.cert.json"]) == 0
+    assert time.perf_counter() - started < 2
+    assert capsys.readouterr().out.splitlines()[-1].startswith("VERIFIED [pi_result]")
+
+
+def test_pi_result_of_s4_on_3x3_with_flipped_value_fails(tmp_path, capsys):
+    assert run(["pi", "-d", "4", f"-f={format_poly(standard_poly(4))}", "-n", "3"]) == 0
+    doc = load_cert(tmp_path / "pi.cert.json")
+    assert doc["certificate"]["value"] is False
+    doc["certificate"]["value"] = True
+    save_document(doc, "flipped.json")
+    capsys.readouterr()
+    assert run(["verify-cert", "flipped.json"]) == 1
+    assert capsys.readouterr().out.startswith("FAILED [pi_result] symbolic expansion has a nonzero entry")
 
 
 def test_assoc_unknown_exit_code(tmp_path):

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncvanish import evaluate
 from ncvanish.evaluate import (
-    CPoly,
     MatTuple,
     ResourceCapError,
     classify_point,
@@ -19,7 +20,7 @@ from ncvanish.evaluate import (
     random_tuple,
     weyl_pair,
 )
-from ncvanish.factorization import _substitute
+from ncvanish.factorization import CPoly, _substitute
 from ncvanish.linalg import QMatrix, QVector
 from ncvanish.lowrank import eval_poly_float
 from ncvanish.poly import NcPoly, commutator, parse
@@ -80,7 +81,7 @@ def test_prefix_products_steps_each_distinct_prefix_once():
         stepped.append(value + (letter,))
         return value + (letter,)
 
-    assert prefix_products(words, (), step) == {word: word for word in words}
+    assert list(prefix_products(words, (), step)) == [(word, word) for word in sorted(words)]
     assert sorted(stepped) == sorted({w[:k] for w in words for k in range(1, len(w) + 1)})
 
 
@@ -115,6 +116,91 @@ def test_nonvanishing_point():
         assert not eval_poly(f, point).is_zero()
     # x1^2 - x1 vanishes at 0 and 1, so its single entry is fixed to 2
     assert nonvanishing_point(parse("x1^2 - x1", 1), 1) == MatTuple([QMatrix([[2]])])
+
+
+def reference_nonzero_entry(f, n):
+    """First nonzero entry, in row-major order, of f expanded as products of
+    generic matrices of CPoly entries (entry x_{v,(i,j)} is variable
+    v*n*n + i*n + j); None when every entry is zero."""
+    generic = [[[CPoly.variable(v * n * n + i * n + j) for j in range(n)] for i in range(n)]
+               for v in range(f.d)]
+    identity = [[CPoly.constant(int(i == j)) for j in range(n)] for i in range(n)]
+    value = {}
+    for word in f.terms:
+        m = identity
+        for letter in word:
+            m = [[sum((m[i][k] * generic[letter - 1][k][j] for k in range(n)), CPoly())
+                  for j in range(n)] for i in range(n)]
+        value[word] = m
+    entries = (sum((value[w][i][j] * c for w, c in f.terms.items()), CPoly())
+               for i in range(n) for j in range(n))
+    return next((entry for entry in entries if not entry.is_zero()), None)
+
+
+def reference_point(f, n):
+    """The point of the reference entry: its variables fixed in id order, each
+    to the least integer 0, 1, .. that keeps the entry nonzero; the rest 0."""
+    entry = reference_nonzero_entry(f, n)
+    if entry is None:
+        return None
+    terms, values = entry.terms, {}
+    for var in entry.variables():
+        value = 0
+        while True:
+            fixed = {}
+            for mono, c in terms.items():
+                power = mono.count(var)
+                if power and not value:
+                    continue
+                rest = tuple(v for v in mono if v != var)
+                fixed[rest] = fixed.get(rest, 0) + c * value**power
+            fixed = {mono: c for mono, c in fixed.items() if c}
+            if fixed:
+                break
+            value += 1
+        terms, values[var] = fixed, value
+    return MatTuple([
+        QMatrix([[values.get(v * n * n + i * n + j, 0) for j in range(n)] for i in range(n)])
+        for v in range(f.d)
+    ])
+
+
+@st.composite
+def pi_cases(draw):
+    """(f, n): d <= 3, n <= 3, words of length <= 4 with rational
+    coefficients, the constant among them.  A case is a commutator [a, b] of
+    words plus one of: another commutator (the sum is an identity on 1x1
+    matrices), a multiple of c^2 - c (zero where the word c is 0 or 1, so
+    points need entries past 1), or a random polynomial."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coefficients = st.fractions(-20, 20, max_denominator=12).filter(bool)
+    nonempty = st.lists(st.integers(1, d), min_size=1, max_size=2).map(tuple)
+    a, b, c = (NcPoly(d, {draw(nonempty): 1}) for _ in range(3))
+    f = commutator(a, b) * draw(coefficients)
+    kind = draw(st.sampled_from(["commutators", "quadratic", "random"]))
+    if kind == "commutators":
+        return f + commutator(c, a) * draw(coefficients), n
+    if kind == "quadratic":
+        return f + (c * c - c) * draw(coefficients), n
+    words = st.lists(st.integers(1, d), max_size=4).map(tuple)
+    return f + NcPoly(d, draw(st.dictionaries(words, coefficients, max_size=4))), n
+
+
+@given(pi_cases())
+def test_path_sums_match_generic_matrix_expansion(case):
+    f, n = case
+    expected = reference_point(f, n)
+    assert pi_test(f, n) is (expected is None)
+    assert nonvanishing_point(f, n) == expected
+
+
+def test_amitsur_levitzki_table():
+    # s_2n is an identity of n x n matrices and s_(2n-1) is not
+    for n in (1, 2, 3):
+        assert pi_test(standard_poly(2 * n), n)
+        f = standard_poly(2 * n - 1)
+        assert not pi_test(f, n)
+        assert not eval_poly(f, nonvanishing_point(f, n)).is_zero()
 
 
 def test_pi_test_resource_cap(monkeypatch):

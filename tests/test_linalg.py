@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -227,6 +228,21 @@ def test_entries_past_max_entry_bits_are_refused_before_they_are_built(text):
 def test_entries_within_max_entry_bits_are_built():
     assert QVector(["1e30000"])[0] == 10**30000
     assert QVector(["-2/" + "1" * 4000])[0] == Fraction(-2, int("1" * 4000))
+
+
+def test_entries_past_the_int_str_digit_limit_round_trip():
+    # str() and int() refuse more than sys.get_int_max_str_digits() digits
+    limit = sys.get_int_max_str_digits()
+    big = 7**30000  # 25,353 digits, 84,221 bits
+    for value in (big, -big, Fraction(2, big), Fraction(-big, 3)):
+        m = QMatrix([[value, 1]])
+        assert QMatrix(m.to_json()) == m
+        assert QVector(QVector([value]).to_json())[0] == value
+    text = QVector([-big]).to_json()[0]
+    assert len(text) == 25_354 and text.startswith("-87") and text.endswith("001")
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError, match=f"MAX_ENTRY_BITS = {MAX_ENTRY_BITS}"):
+        QVector([Fraction(1, 2**MAX_ENTRY_BITS)]).to_json()
 
 
 # ---------------------------------------------------------------------------
