@@ -9,6 +9,11 @@ Five problems are covered, all over the free algebra on d variables:
   composition       g in the unital subalgebra generated by one f
 
 The first four eliminate over words in one row echelon store (`WordRREF`).
+A store is built from (key, row) items in its constructor, the one place
+MAX_SPAN_ENTRIES is checked.  Each stored row keeps the reduction steps
+that made it, over earlier rows; only a member's reduction is expanded
+over keys (`WordRREF.combination`).
+
 Every positive answer is a Combination that multiplies out to the target
 exactly; every negative answer is a Witness or a separating functional
 whose defining equalities and inequalities hold in exact rational
@@ -33,7 +38,7 @@ from .evaluate import MatTuple, ResourceCapError, eval_poly, random_tuple
 from .linalg import QMatrix, QVector, rank_det_kernel, rational_roots
 from .poly import NcPoly, Word, deglex_key, words_of_length
 
-MAX_SPAN_ENTRIES = 200_000  # coefficient entries of one multiples span
+MAX_SPAN_ENTRIES = 200_000  # coefficient entries inserted into one echelon store
 MAX_WITNESS_DIMENSION = 500  # quotient-basis words of one left or two-sided witness
 # seeded eigenvector search of a composition No: sizes 2..max, tuples per size
 EIGEN_MAX_SIZE = 3
@@ -159,13 +164,13 @@ class CompositionNotMember:
 # Sparse row reduction over word coordinates
 # ---------------------------------------------------------------------------
 
-# A row maps words to coefficients; an expression maps opaque keys (whatever
-# identifies the inserted element) to coefficients.  Pivot = deglex-greatest
-# word.  Stored rows are monic and in echelon form: a row holds no pivot word
-# greater than its own, so reducing greatest-first ends.
+# A row maps words to coefficients; its pivot is its deglex-greatest word.
+# Stored rows are monic and in echelon form: a row holds no pivot word
+# greater than its own, so reducing greatest-first ends.  Steps map pivot
+# words to coefficients: row = remainder + sum of steps[p] * rows[p].
 
 SparseRow = Dict[Word, Fraction]
-Expr = Dict[object, Fraction]
+Steps = Dict[Word, Fraction]
 
 
 def _row_axpy(target: Dict, coeff: Fraction, source: Dict) -> None:
@@ -184,17 +189,29 @@ def _descending(word: Word) -> Tuple[Tuple[int, Word], Word]:
 
 
 class WordRREF:
-    """Incremental row echelon form over word coordinates."""
+    """Row echelon form over word coordinates of the (key, row) items,
+    inserted in order.  Raises ResourceCapError once their coefficient
+    entries pass MAX_SPAN_ENTRIES."""
 
-    def __init__(self) -> None:
+    def __init__(self, items: Iterable[Tuple[object, SparseRow]] = ()) -> None:
         self.rows: Dict[Word, SparseRow] = {}
-        self.exprs: Dict[Word, Expr] = {}
+        # pivot -> (key, 1 / lead of the remainder, steps that reduced the row)
+        self.made: Dict[Word, Tuple[object, Fraction, Steps]] = {}
+        entries = 0
+        for key, row in items:
+            entries += len(row)
+            if entries > MAX_SPAN_ENTRIES:
+                raise ResourceCapError(
+                    f"echelon store exceeds MAX_SPAN_ENTRIES = {MAX_SPAN_ENTRIES} coefficient entries"
+                )
+            self.insert(row, key)
 
-    def reduce(self, row: SparseRow) -> Tuple[SparseRow, Expr]:
-        """Remove pivot words greatest-first; returns (remainder, combination)
-        with row = remainder + sum of combination[k] * element keyed k."""
+    def reduce(self, row: SparseRow) -> Tuple[SparseRow, Steps]:
+        """Remove pivot words greatest-first; returns (remainder, steps).
+        A pivot is never brought back once removed, so each step is one
+        elimination."""
         row = dict(row)
-        combination: Expr = {}
+        steps: Steps = {}
         heap = [_descending(w) for w in row if w in self.rows]
         heapq.heapify(heap)
         while heap:
@@ -207,19 +224,36 @@ class WordRREF:
                 if u not in row and u in self.rows:
                     heapq.heappush(heap, _descending(u))
             _row_axpy(row, coeff, pivot_row)
-            _row_axpy(combination, -coeff, self.exprs[word])
-        return row, combination
+            steps[word] = coeff
+        return row, steps
 
     def insert(self, row: SparseRow, key: object) -> bool:
         """Add one element under `key`; returns False when the store spans it."""
-        remainder, combination = self.reduce(row)
+        remainder, steps = self.reduce(row)
         if not remainder:
             return False
         pivot = max(remainder, key=deglex_key)
         inv = 1 / remainder[pivot]
         self.rows[pivot] = {w: c * inv for w, c in remainder.items()}
-        self.exprs[pivot] = {**{k: -c * inv for k, c in combination.items()}, key: inv}
+        self.made[pivot] = (key, inv, steps)
         return True
+
+    def combination(self, steps: Steps) -> Dict[object, Fraction]:
+        """The same combination over keys: sum of steps[p] * rows[p] equals
+        the sum of result[k] times the element keyed k.  A stored row is
+        inv * (its element - its steps), and its steps name earlier rows
+        only, so one pass in reverse insertion order expands them all."""
+        steps = dict(steps)
+        out: Dict[object, Fraction] = {}
+        for pivot in reversed(self.made):
+            if not steps:
+                break
+            coeff = steps.pop(pivot, None)
+            if coeff is not None:
+                key, inv, made_steps = self.made[pivot]
+                out[key] = coeff * inv
+                _row_axpy(steps, out[key], made_steps)
+        return out
 
     def __contains__(self, word: Word) -> bool:
         return word in self.rows
@@ -262,26 +296,19 @@ def weak_basis(f_list: Sequence[NcPoly]) -> WeakBasis:
     changed = True
     while changed:
         changed = False
-        for pos in range(len(elements)):
-            poly, expr = elements[pos]
+        tops = [(poly.degree, poly.lead_part().terms) for poly, _ in elements]
+        for pos, (poly, expr) in enumerate(elements):
             degree = poly.degree
-            rref = WordRREF()
-            for opos, (other, _) in enumerate(elements):
-                if opos == pos:
-                    continue
-                room = degree - other.degree
-                if room < 0:
-                    continue
-                top = other.lead_part()
-                for w in words_of_length(d, room):
-                    shifted = {w + u: c for u, c in top.terms.items()}
-                    rref.insert(shifted, (opos, w))
-            remainder, combination = rref.reduce(poly.lead_part().terms)
+            rref = WordRREF(((opos, w), {w + u: c for u, c in top.items()})
+                            for opos, (other_degree, top) in enumerate(tops)
+                            if opos != pos and other_degree <= degree
+                            for w in words_of_length(d, degree - other_degree))
+            remainder, steps = rref.reduce(tops[pos][1])
             if remainder:
                 continue
             new_poly = poly
             new_expr = dict(expr)
-            for (opos, w), coeff in combination.items():
+            for (opos, w), coeff in rref.combination(steps).items():
                 other, other_expr = elements[opos]
                 shift = NcPoly.from_word(w, d, coeff)
                 new_poly = new_poly - shift * other
@@ -318,20 +345,10 @@ def weak_basis(f_list: Sequence[NcPoly]) -> WeakBasis:
 def _left_multiples_rref(basis: Sequence[NcPoly], d: int, limit: int) -> WordRREF:
     """Echelon store of {w*b : b in basis, deg(w*b) <= limit}, keyed
     (basis index, word)."""
-    rref = WordRREF()
-    count = 0
-    for i, b in enumerate(basis):
-        room = limit - b.degree
-        for length in range(int(room) + 1):
-            for w in words_of_length(d, length):
-                count += len(b.terms)
-                if count > MAX_SPAN_ENTRIES:
-                    raise ResourceCapError(
-                        f"left-multiple span exceeded {MAX_SPAN_ENTRIES} coefficient entries"
-                    )
-                shifted = {w + u: c for u, c in b.terms.items()}
-                rref.insert(shifted, (i, w))
-    return rref
+    return WordRREF(((i, w), {w + u: c for u, c in b.terms.items()})
+                    for i, b in enumerate(basis)
+                    for length in range(int(limit - b.degree) + 1)
+                    for w in words_of_length(d, length))
 
 
 def _quotient_basis(rref: WordRREF, d: int, delta: int) -> List[Word]:
@@ -403,10 +420,10 @@ def left_ideal_membership(
     delta = max([int(g.degree)] + degrees)
     rref = _left_multiples_rref(wb.reduced, d, delta + 1)
 
-    remainder, combination = rref.reduce(g.terms)
+    remainder, steps = rref.reduce(g.terms)
     if not remainder:
         basis_cofactors: List[NcPoly] = [NcPoly.zero(d) for _ in wb.reduced]
-        for (i, w), coeff in combination.items():
+        for (i, w), coeff in rref.combination(steps).items():
             basis_cofactors[i] = basis_cofactors[i] + NcPoly.from_word(w, d, coeff)
         cofactors = [NcPoly.zero(d) for _ in f_list]
         for q, expr in zip(basis_cofactors, wb.expressions):
@@ -428,24 +445,12 @@ def left_ideal_membership(
 
 def _two_sided_products(f_list: Sequence[NcPoly], d: int, limit: int) -> WordRREF:
     """Echelon store of {u*f_j*v : f_j nonzero, deg <= limit}, keys (j, u, v)."""
-    rref = WordRREF()
-    count = 0
-    for j, f in enumerate(f_list):
-        if f.is_zero():
-            continue
-        room = limit - int(f.degree)
-        for left_len in range(room + 1):
-            for u in words_of_length(d, left_len):
-                for right_len in range(room - left_len + 1):
-                    for v in words_of_length(d, right_len):
-                        count += len(f.terms)
-                        if count > MAX_SPAN_ENTRIES:
-                            raise ResourceCapError(
-                                f"two-sided span exceeded {MAX_SPAN_ENTRIES} coefficient entries"
-                            )
-                        row = {u + w + v: c for w, c in f.terms.items()}
-                        rref.insert(row, (j, u, v))
-    return rref
+    return WordRREF(((j, u, v), {u + w + v: c for w, c in f.terms.items()})
+                    for j, f in enumerate(f_list) if not f.is_zero()
+                    for left_len in range(limit - int(f.degree) + 1)
+                    for u in words_of_length(d, left_len)
+                    for right_len in range(limit - int(f.degree) - left_len + 1)
+                    for v in words_of_length(d, right_len))
 
 
 def hom_ideal_membership(
@@ -472,11 +477,11 @@ def hom_ideal_membership(
 
     delta = int(g.degree)
     rref = _two_sided_products(f_list, d, delta)
-    remainder, combination = rref.reduce(g.terms)
+    remainder, steps = rref.reduce(g.terms)
     if not remainder:
         # the combination is unique; sorting makes its order unique too
         pairs: List[List[Tuple[NcPoly, NcPoly]]] = [[] for _ in f_list]
-        for (j, u, v), coeff in sorted(combination.items()):
+        for (j, u, v), coeff in sorted(rref.combination(steps).items()):
             pairs[j].append(
                 (NcPoly.from_word(u, d, coeff), NcPoly.from_word(v, d))
             )
@@ -546,19 +551,16 @@ def trace_membership(
     tracial vanishing of g on every matrix size."""
     _same_variable_count(f_list, g)
     d = g.d
-    rref = WordRREF()
-    for j, f in enumerate(f_list):
-        if not f.is_zero():
-            rref.insert(f.cyclic_reduce().terms, j)
+    rref = WordRREF((j, f.cyclic_reduce().terms) for j, f in enumerate(f_list) if not f.is_zero())
 
     functionals = []
     for branch, target in (("one-in-span", NcPoly.one(d)), ("g-in-span", g)):
-        remainder, combination = rref.reduce(target.cyclic_reduce().terms)
+        remainder, steps = rref.reduce(target.cyclic_reduce().terms)
         if remainder:
             functionals.append(_separating_functional(rref.rows.items(), remainder, d))
             continue
         lambdas = [Fraction(0)] * len(f_list)
-        for j, coeff in combination.items():
+        for j, coeff in rref.combination(steps).items():
             lambdas[j] = coeff
         residual = target
         for lam, f in zip(lambdas, f_list):
@@ -586,14 +588,11 @@ def span_membership(
     _same_variable_count(f_list, g)
     d = g.d
 
-    rref = WordRREF()
-    for j, f in enumerate(f_list):
-        if not f.is_zero():
-            rref.insert(f.terms, j)
-    remainder, combination = rref.reduce(g.terms)
+    rref = WordRREF((j, f.terms) for j, f in enumerate(f_list) if not f.is_zero())
+    remainder, steps = rref.reduce(g.terms)
     if not remainder:
         coeffs = [Fraction(0)] * len(f_list)
-        for j, coeff in combination.items():
+        for j, coeff in rref.combination(steps).items():
             coeffs[j] = coeff
         self_check(checks.span_coefficients, f_list, g, coeffs)
         return SpanCoefficients(tuple(coeffs))

@@ -563,10 +563,8 @@ def dispatch(argv: List[str]) -> int:
         _check_overwrite(args)
         code, problem, cert, outcome, inputs = handler(args)
         _write_artifacts(args, problem, cert, outcome, inputs, started)
-    except (NcParseError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ResourceCapError, InternalInconsistencyError) as exc:
+    except (NcParseError, ValueError, OSError, json.JSONDecodeError,
+            ResourceCapError, InternalInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from .linalg import QMatrix, QVector, rank_det_kernel
+from .linalg import QMatrix, QVector, rank_det_kernel, rational
 from .poly import NcPoly, Word, commutator
 
 PI_MAX_OPS = 10_000_000  # 64-bit words of monomial keys one identity test builds or touches
@@ -104,12 +104,19 @@ class MatTuple:
 
     @staticmethod
     def load(path: str) -> "MatTuple":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"{path}: JSON nesting too deep to decode") from None
-        return MatTuple.from_json(data)
+        return MatTuple.from_json(load_json(path))
+
+
+def load_json(path: str):
+    """The JSON value of a file.  Integer literals are read as string
+    entries are (`linalg.rational`): within MAX_ENTRY_BITS, past the
+    interpreter's int/str digit limit.  Nesting too deep to decode is
+    refused with a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_int=rational)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nesting too deep to decode") from None
 
 
 # ---------------------------------------------------------------------------

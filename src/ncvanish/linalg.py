@@ -40,6 +40,8 @@ _PLAIN = re.compile(r"\s*([-+]?)(\d+)(?:\s*/\s*(\d+))?\s*")
 def _int_of(digits: str) -> int:
     """int(digits) for a string of decimal digits, read in pieces, so that
     no conversion meets the interpreter's int/str digit limit."""
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
     value = 0
     for start in range(0, len(digits), _PIECE_DIGITS):
         piece = digits[start:start + _PIECE_DIGITS]

@@ -267,17 +267,12 @@ def _linear_endgame(f: NcPoly, mats: Sequence[np.ndarray], r: int) -> Optional[M
     exact point whose value factors through r columns.
     """
     n = mats[0].shape[0]
-    d = len(mats)
+    frozen = _snap(mats, _FREEZE_DEN)
     if r >= n:
-        return _snap(mats, _FREEZE_DEN)
+        return frozen
     float_value = eval_poly_float(f, mats)
     column_snaps = _top_singular_snaps(float_value, r)
     for k in _affine_variables(f):
-        frozen = [
-            QMatrix([[Fraction(float(x)).limit_denominator(_FREEZE_DEN) for x in row] for row in m])
-            for m in mats
-        ]
-
         def value_at(y: QMatrix) -> QMatrix:
             coords = list(frozen)
             coords[k - 1] = y

@@ -20,6 +20,8 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from .linalg import _int_of, rational_text
+
 Word = Tuple[int, ...]
 Scalar = Fraction
 
@@ -308,10 +310,10 @@ def format_poly(p: NcPoly) -> str:
         return "0"
     pieces: List[str] = []
     for i, (word, coeff) in enumerate(p.items()):
-        mag = abs(coeff)
+        mag = rational_text(abs(coeff))
         if not word:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = _word_str(word)
         else:
             body = f"{mag}*{_word_str(word)}"
@@ -343,7 +345,9 @@ def format_poly(p: NcPoly) -> str:
 # power is bounded before it is computed: by its degree, by the product of
 # the factors' term counts (which bounds both its terms and its work), and by
 # the bit length of its coefficients.  The term-count bounds above 1 of one
-# text share the same limit.
+# text share the same limit.  A numeral is measured by its digits before it
+# is read, so a long one is refused by the limit it breaks, and one within
+# MAX_PARSE_BITS is read past the interpreter's int/str digit limit.
 
 MAX_PARSE_DEGREE = 10_000
 MAX_PARSE_TERMS = 10_000
@@ -397,11 +401,12 @@ class _Parser:
         if tok[0] != "sym" or tok[1] != sym:
             raise NcParseError(f"expected {sym!r}", tok[2])
 
-    def _expect_nat(self) -> Tuple[int, int]:
+    def _expect_nat(self) -> Tuple[str, int]:
+        """The digits and position of a natural number."""
         tok = self._next()
         if tok[0] != "num":
             raise NcParseError("expected a natural number", tok[2])
-        return int(tok[1]), tok[2]
+        return tok[1], tok[2]
 
     def parse_expr(self) -> NcPoly:
         result = self.parse_term()
@@ -434,8 +439,9 @@ class _Parser:
         if tok is None or tok[0] != "sym" or tok[1] != "^":
             return atom, degree, bits
         self.i += 1
-        exponent, pos = self._expect_nat()
-        if exponent > MAX_PARSE_DEGREE:  # also keeps the bounds below small
+        digits, pos = self._expect_nat()
+        exponent = _numeral(digits, MAX_PARSE_DEGREE.bit_length())
+        if exponent is None or exponent > MAX_PARSE_DEGREE:  # also keeps the bounds below small
             raise NcParseError(f"exponent exceeds MAX_PARSE_DEGREE = {MAX_PARSE_DEGREE}", pos)
         degree, bits = degree * exponent, bits * exponent
         self._bound(pos, degree, len(atom.terms) ** min(exponent, 64), bits)
@@ -458,16 +464,15 @@ class _Parser:
             self._bound(pos, degree, len(left.terms) * len(right.terms), bits)
             return commutator(left, right), degree, bits
         if kind == "sym" and text == "-":
-            num, _ = self._expect_nat()
-            c = -self._rational_tail(num)
+            c = -self._rational_tail(_coefficient(*self._expect_nat()))
             return NcPoly.constant(c, self.d), 0, _bits(c)
         if kind == "num":
-            c = self._rational_tail(int(text))
+            c = self._rational_tail(_coefficient(text, pos))
             return NcPoly.constant(c, self.d), 0, _bits(c)
         if kind == "var":
-            index = int(text[1:])
-            if not 1 <= index <= self.d:
-                raise NcParseError(f"variable index {index} out of range 1..{self.d}", pos)
+            index = _numeral(text[1:], self.d.bit_length())
+            if index is None or not 1 <= index <= self.d:
+                raise NcParseError(f"variable index {text[1:]} out of range 1..{self.d}", pos)
             return NcPoly.var(index, self.d), 1, 1
         raise NcParseError("expected '(', '[', a number, or a variable", pos)
 
@@ -490,11 +495,31 @@ class _Parser:
         tok = self._peek()
         if tok is not None and tok[0] == "sym" and tok[1] == "/":
             self.i += 1
-            den, pos = self._expect_nat()
+            digits, pos = self._expect_nat()
+            den = _coefficient(digits, pos)
             if den == 0:
                 raise NcParseError("zero denominator", pos)
             return Fraction(numerator, den)
         return Fraction(numerator)
+
+
+def _numeral(digits: str, bits: int) -> Optional[int]:
+    """int(digits) when it fits in `bits` bits, else None.  A numeral with
+    more significant digits than such a value has is not read
+    (log10 2 < 0.30103)."""
+    most = bits * 30103 // 100_000 + 1
+    if len(digits) > most and len(digits.lstrip("0")) > most:
+        return None
+    value = _int_of(digits)
+    return value if value.bit_length() <= bits else None
+
+
+def _coefficient(digits: str, position: int) -> int:
+    """A numerator or denominator, refused past MAX_PARSE_BITS."""
+    value = _numeral(digits, MAX_PARSE_BITS)
+    if value is None:
+        raise NcParseError(f"coefficient bit length exceeds MAX_PARSE_BITS = {MAX_PARSE_BITS}", position)
+    return value
 
 
 def _bits(c: Fraction) -> int:

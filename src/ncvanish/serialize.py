@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Sequence
 
 from . import checks
 from .checks import CheckFailed
-from .evaluate import MatTuple, eval_poly
+from .evaluate import MatTuple, eval_poly, load_json
 from .linalg import QMatrix, QVector, rational, rational_text
 from .poly import NcPoly, format_poly, parse
 
@@ -56,11 +56,7 @@ def save_document(doc: dict, path: str) -> None:
 
 
 def load_document(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nesting too deep to decode") from None
+    doc = load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError("not a certificate document")
     return doc

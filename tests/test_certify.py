@@ -89,20 +89,22 @@ def test_word_rref_matches_dense_reference(case):
     d, rows = case
     words = sorted((w for n in range(4) for w in words_of_length(d, n)),
                    key=deglex_key, reverse=True)
-    rref, reference = WordRREF(), {}
-    for k, row in enumerate(rows):
-        assert rref.insert(row, k) == reference_insert(reference, row, words)
+    reference = {}
+    kept = {k for k, row in enumerate(rows) if reference_insert(reference, row, words)}
+    rref = WordRREF(enumerate(rows))
+    assert {key for key, _, _ in rref.made.values()} == kept
     assert set(rref.rows) == set(reference)
     probes = rows + [{w: Fraction(1)} for w in words]
     for probe in probes:
-        remainder, combination = rref.reduce(probe)
+        remainder, steps = rref.reduce(probe)
         dense = reference_remainder(reference, [probe.get(w, Fraction(0)) for w in words], words)
         assert remainder == {w: x for w, x in zip(words, dense) if x}
-        rebuilt = dict(remainder)
-        for k, c in combination.items():
-            for w, x in rows[k].items():
-                rebuilt[w] = rebuilt.get(w, Fraction(0)) + c * x
-        assert {w: x for w, x in rebuilt.items() if x} == probe
+        for combination, stored in ((steps, rref.rows), (rref.combination(steps), rows)):
+            rebuilt = dict(remainder)
+            for k, c in combination.items():
+                for w, x in stored[k].items():
+                    rebuilt[w] = rebuilt.get(w, Fraction(0)) + c * x
+            assert {w: x for w, x in rebuilt.items() if x} == probe
         if remainder:
             phi = _separating_functional(rref.rows.items(), remainder, d)
             value = lambda row: sum(c * phi.coeff(w) for w, c in row.items())

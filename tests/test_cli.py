@@ -6,6 +6,7 @@ import pytest
 from ncvanish import certify, cli
 from ncvanish.cli import dispatch
 from ncvanish.evaluate import weyl_pair
+from ncvanish.linalg import rational_text
 from ncvanish.poly import format_poly
 from ncvanish.serialize import load_document, save_document, verify_certificate
 
@@ -168,6 +169,16 @@ def test_left_member_over_a_long_generator_is_fast(tmp_path):
     assert time.perf_counter() - started < 3
 
 
+def test_weak_basis_store_stops_at_its_entry_cap(capsys):
+    # x1 times each of the 2^19 words of length 19 would be inserted to
+    # reduce the top part of x2^20; the echelon store stops at its cap
+    started = time.perf_counter()
+    assert run(["member-left", "-d", "2", "-f", "x1", "-f", "x2^20", "-g", "x1"]) == 1
+    assert time.perf_counter() - started < 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_SPAN_ENTRIES" in err and err.count("\n") == 1
+
+
 def test_two_sided_witness_is_capped_by_its_own_size(tmp_path):
     # 511 words up to degree 8, of which 45 are not leading words of the ideal
     argv = ["member-hom", "-d", "2", "-f", "x1*x2 - x2*x1", "-g", "x1^4*x2^4"]
@@ -231,6 +242,33 @@ def test_eval_value_past_the_int_str_digit_limit(tmp_path):
     value = load_cert(tmp_path / "eval.cert.json")["certificate"]["value"][0][0]
     assert len(value) == 4772 and value.startswith("1631350185") and value.endswith("6552200001")
     assert run(["verify-cert", "eval.cert.json"]) == 0
+
+
+def test_eval_of_a_coefficient_past_the_int_str_digit_limit(tmp_path, capsys):
+    # 7^6000 has 5071 digits: the problem's polynomial is written and re-read
+    (tmp_path / "p3.json").write_text(json.dumps({"n": 1, "d": 1, "matrices": [[["3"]]]}))
+    assert run(["eval", "-d", "1", "-f", "7^6000*x1", "--point", "p3.json"]) == 0
+    doc = load_cert(tmp_path / "eval.cert.json")
+    assert len(doc["problem"]["polynomial"]) == 5074
+    assert doc["certificate"]["value"][0][0] == rational_text(3 * 7**6000)
+    capsys.readouterr()
+    assert run(["verify-cert", "eval.cert.json"]) == 0
+    assert capsys.readouterr().out.startswith("VERIFIED [eval]")
+
+
+def test_point_entry_written_as_a_long_json_integer(tmp_path, capsys):
+    # json.load reads integer literals as string entries are read
+    digits = "3" * 5000
+    for name, entry in (("int", digits), ("str", f'"{digits}"')):
+        (tmp_path / f"{name}.json").write_text(f'{{"n": 1, "d": 1, "matrices": [[[{entry}]]]}}')
+        assert run(["eval", "-d", "1", "-f", "x1^2 + 1", "--point", f"{name}.json",
+                    "--out", f"{name}.cert.json"]) == 0
+    assert load_cert(tmp_path / "int.cert.json") == load_cert(tmp_path / "str.cert.json")
+    capsys.readouterr()
+    (tmp_path / "long.json").write_text(f'{{"n": 1, "d": 1, "matrices": [[[{"3" * 40000}]]]}}')
+    assert run(["eval", "-d", "1", "-f", "x1", "--point", "long.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_ENTRY_BITS" in err and err.count("\n") == 1
 
 
 def test_eval_dimension_mismatch(tmp_path):

@@ -155,6 +155,12 @@ def test_parse_large_power_is_fast():
         ("[(x1+x2)^7, (x1+x2)^7]", "MAX_PARSE_TERMS"),
         (" + ".join(["(x1+x2)^12"] * 3), "MAX_PARSE_TERMS"),
         ("(2^4000)^4000", "MAX_PARSE_BITS"),
+        # numerals too long to convert are refused by the limit they break
+        pytest.param("x" + "1" * 5000, "variable index", id="long-variable-index"),
+        pytest.param("x1^" + "1" * 5000, "MAX_PARSE_DEGREE", id="long-exponent"),
+        pytest.param("1" * 40000 + "*x1", "MAX_PARSE_BITS", id="long-coefficient"),
+        pytest.param("-" + "1" * 40000, "MAX_PARSE_BITS", id="long-negative"),
+        pytest.param("2/" + "1" * 40000, "MAX_PARSE_BITS", id="long-denominator"),
     ],
 )
 def test_parse_refuses_oversized_products(text, limit):
@@ -162,6 +168,14 @@ def test_parse_refuses_oversized_products(text, limit):
     with pytest.raises(NcParseError, match=limit):
         parse(text, 2)
     assert time.perf_counter() - started < 0.5
+
+
+def test_parse_reads_numerals_past_the_int_str_digit_limit():
+    p = parse("1" * 5000 + "*x1 - 1/" + "7" * 5000, 2)
+    assert p.coeff((1,)) == (10**5000 - 1) // 9
+    assert p.constant_term == Fraction(-9, 7 * (10**5000 - 1))
+    q = parse("7^6000*x1", 1)
+    assert parse(format_poly(q), 1) == q and len(format_poly(q)) == 5074
 
 
 def test_cyclic_reduce_identifies_rotations():
